@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.buckets import DEFAULT_BUCKET_SIZE, LoadBucketizer
 from repro.core.heuristic import build_heuristic_mapper
-from repro.core.rewards import RewardInputs, compute_reward
+from repro.core.rewards import reward_terms
 from repro.core.table import DEFAULT_ALPHA, DEFAULT_GAMMA, LookupTable
 from repro.hardware.topology import (
     Configuration,
@@ -118,7 +118,19 @@ class HipsterParams:
 
 
 class Hipster(TaskManager):
-    """The hybrid heuristic + Q-learning task manager."""
+    """The hybrid heuristic + Q-learning task manager.
+
+    Hot path: the engine calls :meth:`decide` and :meth:`observe` once
+    per monitoring interval, so :meth:`start` resolves everything that
+    is fixed for the run: TDP and the microbenchmark IPS peaks of the
+    reward, the action of each heuristic ladder step, and one
+    :class:`~repro.policies.base.Decision` per action (the collocation
+    flag cannot change mid-run).  Per interval that leaves O(1) work:
+    row lookups in the dense lookup table, Algorithm 1's reward on
+    plain floats and a running count of the QoS window.  :meth:`decide`
+    hands back the same ``Decision`` object while the action holds, so
+    the engine's unchanged-decision check succeeds on identity.
+    """
 
     def __init__(
         self,
@@ -140,6 +152,7 @@ class Hipster(TaskManager):
         self._pending: tuple[int, int] | None = None
         self._last_action: int | None = None
         self._qos_window: deque[bool] = deque()
+        self._qos_met = 0  # sum(self._qos_window), kept incrementally
         self._phase_switches = 0
 
     # ------------------------------------------------------------------
@@ -152,12 +165,24 @@ class Hipster(TaskManager):
         self._configs = enumerate_configurations(
             platform, max_total_cores=self.params.max_total_cores
         )
-        self._table = LookupTable(
-            n_actions=len(self._configs),
-            alpha=self.params.alpha,
-            gamma=self.params.gamma,
-            alpha_schedule=self.params.alpha_schedule,
+        self._collocating = self.variant is Variant.COLLOCATED and ctx.batch_present
+        self._decisions = tuple(
+            resolve_decision(platform, config, collocate_batch=self._collocating)
+            for config in self._configs
         )
+        # Algorithm 1's per-run constants, validated here once rather
+        # than on every interval's reward.
+        self._target_ms = ctx.workload.target_latency_ms
+        self._tdp_w = platform.tdp_w
+        self._max_ips = (
+            platform.big.max_microbench_ips() + platform.small.max_microbench_ips()
+        )
+        if not 0.0 < self.params.qos_danger <= 1.0:
+            raise ValueError("qos_danger must be within (0, 1]")
+        if self._target_ms <= 0:
+            raise ValueError("qos_target_ms must be positive")
+        if self._tdp_w <= 0 or self._max_ips <= 0:
+            raise ValueError("tdp_w and max IPS must be positive")
         from repro.policies.octopusman import default_qos_safe
 
         resolved_safe = self.params.qos_safe or default_qos_safe(ctx.workload.name)
@@ -167,10 +192,21 @@ class Hipster(TaskManager):
             qos_safe=max(resolved_safe, self.params.learning_qos_safe),
             max_total_cores=self.params.max_total_cores,
         )
+        # The heuristic's ladder position -> action, so the learning phase
+        # never looks a configuration up.
+        action_of = {config: i for i, config in enumerate(self._configs)}
+        self._ladder_actions = tuple(action_of[c] for c in self._machine.ladder)
         bucket_size = self.params.bucket_size or DEFAULT_BUCKET_SIZE.get(
             ctx.workload.name, 0.05
         )
         self._bucketizer = LoadBucketizer(bucket_size)
+        self._table = LookupTable(
+            n_actions=len(self._configs),
+            n_states=self._bucketizer.n_buckets,
+            alpha=self.params.alpha,
+            gamma=self.params.gamma,
+            alpha_schedule=self.params.alpha_schedule,
+        )
         # Equal Q-values resolve toward the most capable configuration:
         # in a barely-known state the QoS-safe guess is more capacity.
         self._capacity = {
@@ -181,6 +217,7 @@ class Hipster(TaskManager):
         )
         window = max(int(self.params.reenter_window_s / ctx.interval_s), 1)
         self._qos_window = deque(maxlen=window)
+        self._qos_met = 0
 
     # ------------------------------------------------------------------
     # introspection (reports/tests)
@@ -217,13 +254,10 @@ class Hipster(TaskManager):
     # ------------------------------------------------------------------
 
     def decide(self) -> Decision:
-        config, action = self._choose()
+        action = self._choose()
         self._pending = (self._current_bucket, action)
         self._last_action = action
-        collocate = (
-            self.variant is Variant.COLLOCATED and self.ctx.batch_present
-        )
-        return resolve_decision(self.ctx.platform, config, collocate_batch=collocate)
+        return self._decisions[action]
 
     def stable_horizon(self, offered_loads) -> int:
         # The learner consumes rewards (and rng during exploration) every
@@ -231,27 +265,27 @@ class Hipster(TaskManager):
         # charge (explicit pin of the TaskManager default).
         return 1
 
-    def _choose(self) -> tuple[Configuration, int]:
-        assert self._table is not None and self._machine is not None
+    def _choose(self) -> int:
+        table = self._table
+        assert table is not None and self._machine is not None
         bucket = self._current_bucket
-        if self._phase is Phase.LEARNING or not self._table.state_visited(bucket):
-            config = self._machine.current
-            return config, self._configs.index(config)
+        if self._phase is Phase.LEARNING or not table.state_visited(bucket):
+            return self._ladder_actions[self._machine.index]
         if self.params.epsilon > 0 and self.ctx.rng.random() < self.params.epsilon:
             explored = self._explore()
             if explored is not None:
-                return self._configs[explored], explored
-        action, best_value = self._table.best_action(bucket, tie_break=self._tie_order)
+                return explored
+        action, best_value = table.best_action(bucket, tie_break=self._tie_order)
         incumbent = self._last_action
         if (
             incumbent is not None
             and incumbent != action
-            and self._table.visited(bucket, incumbent)
-            and self._table.value(bucket, incumbent)
+            and table.visited(bucket, incumbent)
+            and table.value(bucket, incumbent)
             >= best_value - self.params.switch_margin
         ):
             action = incumbent
-        return self._configs[action], action
+        return action
 
     def _explore(self) -> int | None:
         """Pick a capacity-plausible neighbour of the incumbent, if any."""
@@ -278,39 +312,33 @@ class Hipster(TaskManager):
 
     def observe(self, observation: "IntervalObservation") -> None:
         assert self._table is not None and self._machine is not None
-        workload = self.ctx.workload
-        platform = self.ctx.platform
         next_bucket = self._bucketizer.bucket(observation.measured_load)
-
-        batch_active = (
-            self.variant is Variant.COLLOCATED
-            and self.ctx.batch_present
-            and observation.decision.run_batch
-        )
-        reward = compute_reward(
-            RewardInputs(
-                qos_curr_ms=observation.tail_latency_ms,
-                qos_target_ms=workload.target_latency_ms,
-                power_w=observation.power_w,
-                tdp_w=platform.tdp_w,
-                batch_present=batch_active,
-                big_ips=observation.big_ips,
-                small_ips=observation.small_ips,
-                max_ips_big=platform.big.max_microbench_ips(),
-                max_ips_small=platform.small.max_microbench_ips(),
-            ),
+        tail_ms = observation.tail_latency_ms
+        batch = self._collocating and observation.decision.run_batch
+        reward, _, _, _ = reward_terms(
+            tail_ms,
+            self._target_ms,
+            observation.power_w,
+            self._tdp_w,
+            batch,
+            observation.big_ips if batch else 0.0,
+            observation.small_ips if batch else 0.0,
+            self._max_ips,
             self.ctx.rng,
-            qos_danger=self.params.qos_danger,
+            self.params.qos_danger,
         )
         if self._pending is not None:
             state, action = self._pending
-            self._table.update(state, action, reward.total, next_bucket)
+            self._table.update(state, action, reward, next_bucket)
 
         if self._phase is Phase.LEARNING:
-            self._machine.step(
-                observation.tail_latency_ms, workload.target_latency_ms
-            )
-        self._qos_window.append(observation.qos_met)
+            self._machine.step(tail_ms, self._target_ms)
+        window = self._qos_window
+        if len(window) == window.maxlen:
+            self._qos_met -= window[0]
+        met = observation.qos_met
+        window.append(met)
+        self._qos_met += met
         self._advance_phase(observation)
         self._current_bucket = next_bucket
 
@@ -324,7 +352,7 @@ class Hipster(TaskManager):
             if (
                 window.maxlen is not None
                 and len(window) == window.maxlen
-                and sum(window) / len(window) <= self.params.reenter_threshold
+                and self._qos_met / len(window) <= self.params.reenter_threshold
             ):
                 # Algorithm 2, line 18: QoSGuarantee <= X -> learning phase.
                 self._machine.seed_from(observation.decision.config)
@@ -334,6 +362,7 @@ class Hipster(TaskManager):
         self._phase = phase
         self._phase_elapsed_s = 0.0
         self._qos_window.clear()
+        self._qos_met = 0
         self._phase_switches += 1
 
 

@@ -60,6 +60,44 @@ class RewardBreakdown:
     violated: bool
 
 
+def reward_terms(
+    qos_curr_ms: float,
+    qos_target_ms: float,
+    power_w: float,
+    tdp_w: float,
+    batch_present: bool,
+    big_ips: float,
+    small_ips: float,
+    max_ips: float,
+    rng: np.random.Generator,
+    qos_danger: float,
+) -> tuple[float, float, float, float]:
+    """Algorithm 1, lines 1-15, on plain floats.
+
+    Returns ``(total, qos_part, stochastic_penalty, objective_part)``;
+    ``max_ips`` is ``maxIPS(B) + maxIPS(S)``.  Draws from ``rng`` only
+    in the danger band.  Nothing is validated here: :func:`compute_reward`
+    validates every call, :class:`~repro.core.hipster.Hipster` its
+    per-run constants once.
+    """
+    qos_reward = qos_curr_ms / qos_target_ms
+    stochastic = 0.0
+    if qos_curr_ms < qos_target_ms * qos_danger:
+        qos_part = qos_reward + 1.0  # line 7
+    elif qos_curr_ms < qos_target_ms:
+        stochastic = float(rng.uniform(0.0, 1.0))  # line 9
+        qos_part = qos_reward + 1.0
+    else:
+        qos_part = -qos_reward - 1.0  # line 11
+
+    if batch_present:
+        objective = (big_ips + small_ips) / max_ips  # line 13
+    else:
+        objective = tdp_w / power_w  # line 15
+
+    return qos_part - stochastic + objective, qos_part, stochastic, objective
+
+
 def compute_reward(
     inputs: RewardInputs,
     rng: np.random.Generator,
@@ -69,30 +107,22 @@ def compute_reward(
     """Evaluate Algorithm 1, lines 1-15, for one interval."""
     if not 0.0 < qos_danger <= 1.0:
         raise ValueError("qos_danger must be within (0, 1]")
-    qos_reward = inputs.qos_curr_ms / inputs.qos_target_ms
-    stochastic = 0.0
-    violated = False
-    if inputs.qos_curr_ms < inputs.qos_target_ms * qos_danger:
-        qos_part = qos_reward + 1.0  # line 7
-    elif inputs.qos_curr_ms < inputs.qos_target_ms:
-        stochastic = float(rng.uniform(0.0, 1.0))  # line 9
-        qos_part = qos_reward + 1.0
-    else:
-        qos_part = -qos_reward - 1.0  # line 11
-        violated = True
-
-    if inputs.batch_present:
-        objective = (inputs.big_ips + inputs.small_ips) / (
-            inputs.max_ips_big + inputs.max_ips_small
-        )  # line 13
-    else:
-        objective = inputs.tdp_w / inputs.power_w  # line 15
-
-    total = qos_part - stochastic + objective
+    total, qos_part, stochastic, objective = reward_terms(
+        inputs.qos_curr_ms,
+        inputs.qos_target_ms,
+        inputs.power_w,
+        inputs.tdp_w,
+        inputs.batch_present,
+        inputs.big_ips,
+        inputs.small_ips,
+        inputs.max_ips_big + inputs.max_ips_small,
+        rng,
+        qos_danger,
+    )
     return RewardBreakdown(
         total=total,
         qos_part=qos_part,
         stochastic_penalty=stochastic,
         objective_part=objective,
-        violated=violated,
+        violated=not inputs.qos_curr_ms < inputs.qos_target_ms,
     )

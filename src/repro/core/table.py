@@ -2,8 +2,20 @@
 
 The table estimates the total discounted reward of choosing configuration
 ``c`` in load bucket ``w`` (Section 3.1).  The paper implements it as a
-Python dictionary for O(1) access (Section 3.7); so do we.  The update
-rule is Algorithm 1's line 16:
+Python dictionary for O(1) access (Section 3.7).  Both axes are small and
+known before the run starts -- the bucketizer fixes the number of load
+buckets and the platform fixes the configuration space -- so here the
+table is dense: one row of ``n_actions`` values per state, plus a row of
+visit counts.  Every lookup is still O(1), and the dictionary's
+semantics carry over exactly:
+
+* a never-updated entry reads as 0, like a missing key (Algorithm 2,
+  line 4), and "visited" means "updated at least once";
+* ``max_d R(w, d)`` is the row maximum, and ``argmax`` keeps the first
+  maximum in the caller's ``tie_break`` order, as a strict ``>`` scan
+  over the dictionary's entries would.
+
+The update rule is Algorithm 1's line 16:
 
     R(w_n, c_n) += alpha * (lambda_n + gamma * max_d R(w_n+1, d) - R(w_n, c_n))
 
@@ -13,7 +25,6 @@ with learning rate ``alpha = 0.6`` and discount ``gamma = 0.9``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 #: Discount factor gamma (Section 3.4).
@@ -23,50 +34,62 @@ DEFAULT_GAMMA = 0.9
 DEFAULT_ALPHA = 0.6
 
 
-@dataclass
 class LookupTable:
     """``R(w, c)`` over (load bucket, configuration index).
 
-    ``n_actions`` is the size of the configuration space; action indices
-    are the caller's concern (Hipster uses the index into its enumerated
-    configuration tuple).
+    ``n_states`` is the number of load buckets (states run from 0 to
+    ``n_states - 1``) and ``n_actions`` the size of the configuration
+    space; action indices are the caller's concern (Hipster uses the
+    index into its enumerated configuration tuple).  Indices outside
+    either range raise :class:`ValueError`.
     """
 
-    n_actions: int
-    alpha: float = DEFAULT_ALPHA
-    gamma: float = DEFAULT_GAMMA
-    alpha_schedule: str = "fixed"
-    alpha_min: float = 0.10
-    _table: dict[tuple[int, int], float] = field(default_factory=dict)
-    _visits: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.n_actions <= 0:
+    def __init__(
+        self,
+        n_actions: int,
+        n_states: int,
+        alpha: float = DEFAULT_ALPHA,
+        gamma: float = DEFAULT_GAMMA,
+        alpha_schedule: str = "fixed",
+        alpha_min: float = 0.10,
+    ) -> None:
+        if n_actions <= 0:
             raise ValueError("n_actions must be positive")
-        if not 0.0 < self.alpha <= 1.0:
+        if n_states <= 0:
+            raise ValueError("n_states must be positive")
+        if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be within (0, 1]")
-        if not 0.0 <= self.gamma < 1.0:
+        if not 0.0 <= gamma < 1.0:
             raise ValueError("gamma must be within [0, 1)")
-        if self.alpha_schedule not in ("fixed", "decay"):
+        if alpha_schedule not in ("fixed", "decay"):
             raise ValueError("alpha_schedule must be 'fixed' or 'decay'")
-        if not 0.0 < self.alpha_min <= 1.0:
+        if not 0.0 < alpha_min <= 1.0:
             raise ValueError("alpha_min must be within (0, 1]")
+        self.n_actions = n_actions
+        self.n_states = n_states
+        self.alpha = alpha
+        self.gamma = gamma
+        self.alpha_schedule = alpha_schedule
+        self.alpha_min = alpha_min
+        self._values = [[0.0] * n_actions for _ in range(n_states)]
+        self._visits = [[0] * n_actions for _ in range(n_states)]
+        #: Per state, how many actions have been updated at least once.
+        self._visited_actions = [0] * n_states
 
     def value(self, state: int, action: int) -> float:
         """``R(w, c)``; unvisited entries are 0 (Algorithm 2, line 4)."""
         self._check(state, action)
-        return self._table.get((state, action), 0.0)
+        return self._values[state][action]
 
     def visited(self, state: int, action: int) -> bool:
         """Whether the entry has ever been updated."""
         self._check(state, action)
-        return (state, action) in self._table
+        return self._visits[state][action] > 0
 
     def state_visited(self, state: int) -> bool:
         """Whether any action has been tried in this state."""
-        if state < 0:
-            raise ValueError("state must be non-negative")
-        return any((state, a) in self._table for a in range(self.n_actions))
+        self._check_state(state)
+        return self._visited_actions[state] > 0
 
     def best_action(
         self, state: int, *, tie_break: Iterable[int] | None = None
@@ -75,35 +98,40 @@ class LookupTable:
 
         Unvisited entries count as 0, exactly as in the paper.  Ties are
         broken by ``tie_break`` order (e.g. the heuristic ladder, so equal
-        scores prefer lower-power configurations) or by index.
+        scores prefer lower-power configurations) or by index: the first
+        maximum in that order wins.
         """
-        order = list(tie_break) if tie_break is not None else range(self.n_actions)
-        best_action, best_value = None, float("-inf")
-        for action in order:
-            self._check(state, action)
-            value = self.value(state, action)
-            if value > best_value:
-                best_action, best_value = action, value
-        assert best_action is not None
-        return best_action, best_value
+        self._check_state(state)
+        order = range(self.n_actions) if tie_break is None else tuple(tie_break)
+        if not order:
+            raise ValueError("tie_break must name at least one action")
+        if min(order) < 0 or max(order) >= self.n_actions:
+            raise ValueError(f"action must be within [0, {self.n_actions})")
+        row = self._values[state]
+        values = [row[action] for action in order]
+        best = max(values)
+        return order[values.index(best)], best
 
     def max_value(self, state: int) -> float:
         """``max_d R(w, d)`` -- the bootstrap term of the update."""
-        return max(self.value(state, a) for a in range(self.n_actions))
+        self._check_state(state)
+        return max(self._values[state])
 
     def update(
         self, state: int, action: int, reward: float, next_state: int
     ) -> float:
         """Apply Algorithm 1's line 16; returns the new ``R(w, c)``."""
         self._check(state, action)
-        self._check(next_state, 0)
-        old = self.value(state, action)
+        self._check_state(next_state)
+        row = self._values[state]
+        old = row[action]
         alpha = self._effective_alpha(state, action)
-        new = old + alpha * (
-            reward + self.gamma * self.max_value(next_state) - old
-        )
-        self._table[(state, action)] = new
-        self._visits[(state, action)] = self._visits.get((state, action), 0) + 1
+        new = old + alpha * (reward + self.gamma * max(self._values[next_state]) - old)
+        row[action] = new
+        visits = self._visits[state]
+        if visits[action] == 0:
+            self._visited_actions[state] += 1
+        visits[action] += 1
         return new
 
     def _effective_alpha(self, state: int, action: int) -> float:
@@ -119,23 +147,33 @@ class LookupTable:
         """
         if self.alpha_schedule == "fixed":
             return self.alpha
-        n = self._visits.get((state, action), 0)
+        n = self._visits[state][action]
         return max(self.alpha_min, 1.0 / (n + 1) ** 0.6)
 
     def visit_count(self, state: int, action: int) -> int:
         """How many times the entry has been updated."""
         self._check(state, action)
-        return self._visits.get((state, action), 0)
+        return self._visits[state][action]
 
     def __len__(self) -> int:
-        return len(self._table)
+        return sum(self._visited_actions)
 
     def snapshot(self) -> dict[tuple[int, int], float]:
         """A copy of the populated entries (for inspection/tests)."""
-        return dict(self._table)
+        return {
+            (state, action): self._values[state][action]
+            for state, visits in enumerate(self._visits)
+            for action, count in enumerate(visits)
+            if count
+        }
 
-    def _check(self, state: int, action: int) -> None:
+    def _check_state(self, state: int) -> None:
         if state < 0:
             raise ValueError("state must be non-negative")
+        if state >= self.n_states:
+            raise ValueError(f"state must be below n_states={self.n_states}")
+
+    def _check(self, state: int, action: int) -> None:
+        self._check_state(state)
         if not 0 <= action < self.n_actions:
             raise ValueError(f"action must be within [0, {self.n_actions})")

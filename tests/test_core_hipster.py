@@ -57,56 +57,64 @@ class TestBucketizer:
 
 class TestLookupTable:
     def test_unvisited_is_zero(self):
-        table = LookupTable(n_actions=4)
+        table = LookupTable(n_actions=4, n_states=4)
         assert table.value(3, 2) == 0.0
         assert not table.visited(3, 2)
         assert not table.state_visited(3)
 
     def test_update_moves_toward_target(self):
-        table = LookupTable(n_actions=2, alpha=0.5, gamma=0.0)
+        table = LookupTable(n_actions=2, n_states=2, alpha=0.5, gamma=0.0)
         new = table.update(0, 0, reward=10.0, next_state=0)
         assert new == pytest.approx(5.0)  # 0 + 0.5 * (10 - 0)
         assert table.visit_count(0, 0) == 1
 
     def test_bootstrap_uses_next_state_max(self):
-        table = LookupTable(n_actions=2, alpha=1.0, gamma=0.5)
+        table = LookupTable(n_actions=2, n_states=2, alpha=1.0, gamma=0.5)
         table.update(1, 0, reward=8.0, next_state=1)  # R(1,0) = 8
         new = table.update(0, 1, reward=1.0, next_state=1)
         assert new == pytest.approx(1.0 + 0.5 * 8.0)
 
     def test_best_action_tie_break_order(self):
-        table = LookupTable(n_actions=3)
+        table = LookupTable(n_actions=3, n_states=2)
         action, value = table.best_action(0, tie_break=[2, 0, 1])
         assert (action, value) == (2, 0.0)
 
     def test_best_action_prefers_higher_value(self):
-        table = LookupTable(n_actions=3, alpha=1.0, gamma=0.0)
+        table = LookupTable(n_actions=3, n_states=2, alpha=1.0, gamma=0.0)
         table.update(0, 1, reward=4.0, next_state=0)
         table.update(0, 2, reward=9.0, next_state=0)
         action, value = table.best_action(0)
         assert (action, value) == (2, 9.0)
 
     def test_decay_schedule_first_visit_jumps_to_target(self):
-        table = LookupTable(n_actions=2, alpha_schedule="decay", gamma=0.0)
+        table = LookupTable(n_actions=2, n_states=2, alpha_schedule="decay", gamma=0.0)
         new = table.update(0, 0, reward=7.0, next_state=0)
         assert new == pytest.approx(7.0)  # first-visit alpha = 1
 
     def test_decay_schedule_floors(self):
-        table = LookupTable(n_actions=1, alpha_schedule="decay", alpha_min=0.2, gamma=0.0)
+        table = LookupTable(
+            n_actions=1, n_states=2, alpha_schedule="decay", alpha_min=0.2, gamma=0.0
+        )
         for _ in range(100):
             table.update(0, 0, reward=1.0, next_state=0)
         assert table._effective_alpha(0, 0) == pytest.approx(0.2)
 
     def test_invalid_indices_rejected(self):
-        table = LookupTable(n_actions=2)
+        table = LookupTable(n_actions=2, n_states=2)
         with pytest.raises(ValueError):
             table.value(-1, 0)
         with pytest.raises(ValueError):
             table.value(0, 2)
+        with pytest.raises(ValueError):
+            table.value(2, 0)
+        with pytest.raises(ValueError):
+            table.update(0, 0, reward=1.0, next_state=2)
+        with pytest.raises(ValueError):
+            LookupTable(n_actions=2, n_states=0)
 
     def test_fixed_point_is_reward_over_one_minus_gamma(self):
         """Repeatedly playing one action converges to r / (1 - gamma)."""
-        table = LookupTable(n_actions=1, alpha=0.6, gamma=0.9)
+        table = LookupTable(n_actions=1, n_states=2, alpha=0.6, gamma=0.9)
         for _ in range(400):
             table.update(0, 0, reward=2.0, next_state=0)
         assert table.value(0, 0) == pytest.approx(2.0 / 0.1, rel=0.01)
@@ -119,7 +127,7 @@ class TestLookupTable:
     )
     def test_values_bounded_by_reward_scale(self, rewards):
         """|R| can never exceed max|reward| / (1 - gamma)."""
-        table = LookupTable(n_actions=1, alpha=0.6, gamma=0.9)
+        table = LookupTable(n_actions=1, n_states=2, alpha=0.6, gamma=0.9)
         for r in rewards:
             table.update(0, 0, reward=r, next_state=0)
         bound = max(abs(r) for r in rewards) / 0.1 + 1e-9

@@ -291,6 +291,50 @@ class TestGoldenFingerprints:
         assert result_fingerprint(outcome.result) == self.GOLDEN[name]
 
 
+class TestHipsterGoldens:
+    """Pinned fingerprints of Hipster runs, taken before the manager's
+    per-interval step was rewritten (dense Q-table, per-run constants,
+    scalar reward).  Byte-identity here means the learner consumed the
+    rng stream in the same order and did the same arithmetic."""
+
+    #: Every node of an 8-node quick ``hipster-in`` diurnal fleet.
+    FLEET_NODES = (
+        "0d330fc420991c43d2319041b18b261b225aefc7a6a706929060b066a25037a3",
+        "607921b0eaec87774dfad0c17927a8c2839717bc204092c87eb36a907004758c",
+        "0300d30ed6ea1717fecd568986e63079f21b38b1213c7029e2f3acdfed90b3ec",
+        "c28729aca8121ea0f6f6a674014a38a81382d1c636dd001015b0159c8249ec6c",
+        "40c732888b8f7a10be8d46f64aaa976887c5dafa037e4d6c12f1ae51a0b2a8e5",
+        "52d6fdb98b2735f8d25f5b691ec25be32fd365b1ac08afe46702f012b76b676e",
+        "d652588106c6ab6186d99f769ab91c19c5b1350f578fa436e2092d2aaadf38a4",
+        "4addc71da9c40dc8f07c4078a1fd9734e53427c7781d469e11f03bc1f4bef6ce",
+    )
+
+    #: The full (non-quick) memcached diurnal day: 1400 intervals with
+    #: epsilon exploration, switch-margin incumbent holds and one
+    #: exploitation -> learning re-entry.
+    LONG_RUN = "f1263d32f777f8155fd887036a9f9bd6a1ca74a7abe50e9cad23cb4fcc1e4b7c"
+
+    def test_fleet_nodes(self):
+        fleet = DEFAULT_REGISTRY.build(
+            "fleet-diurnal", workload="memcached", manager="hipster-in",
+            n_nodes=8, quick=True,
+        )
+        nodes = fleet.node_specs()
+        assert len(nodes) == len(self.FLEET_NODES)
+        for node, golden in zip(nodes, self.FLEET_NODES):
+            outcome = node.run()
+            assert dict(outcome.manager_stats) == {"phase_switches": 3}
+            assert result_fingerprint(outcome.result) == golden, node.label
+
+    def test_long_run_with_reentry(self):
+        outcome = DEFAULT_REGISTRY.build(
+            "diurnal-policy", workload="memcached", manager="hipster-in"
+        ).run()
+        assert len(outcome.result) == 1400
+        assert dict(outcome.manager_stats) == {"phase_switches": 2}
+        assert result_fingerprint(outcome.result) == self.LONG_RUN
+
+
 class TestDensePathUnits:
     """Array-native fast paths agree with the dict APIs on random inputs."""
 
