@@ -18,8 +18,10 @@ drift-immune and machine-comparable):
   speedup must not drop more than 25% below the number recorded in
   ``BENCH_engine.json``.
 
-The trajectory numbers themselves (3-3.6x on the recording machine; see
-``BENCH_engine.json``) are refreshed with ``hipster-repro bench``.
+The gate and the recorder (``hipster-repro bench``, which refreshes
+``BENCH_engine.json``) measure every point through the same
+:func:`repro.sim.bench.measure` call, under one fixed protocol, so a
+gate verdict compares like with like.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from repro.sim.bench import (
     EPOCH_POINTS,
     epoch_point_key,
     load_report,
-    measure_epoch_point,
-    measure_point,
+    measure,
     point_key,
 )
 
@@ -64,11 +65,11 @@ def committed_report():
     ids=[point_key(a, c) for a, c in BENCH_POINTS],
 )
 def test_engine_speedup(arrivals, collocate, committed_report):
-    result = measure_point(arrivals, collocate, n_intervals=200, pairs=5)
     key = point_key(arrivals, collocate)
+    result = measure(key)
     print(
         f"\n{key}: {result.reference_ips:.0f} -> {result.optimized_ips:.0f} "
-        f"intervals/s ({result.speedup:.2f}x)"
+        f"intervals/s ({result.speedup:.2f}x, IQR {result.ratio_iqr:.2f})"
     )
     assert result.speedup >= MIN_SPEEDUP, (
         f"{key}: dense engine only {result.speedup:.2f}x over the reference"
@@ -96,11 +97,11 @@ def test_epoch_fast_path_speedup(name, arrivals, committed_report):
     guard against the committed trajectory (and on the committed
     numbers being well above the floor).
     """
-    result = measure_epoch_point(name, arrivals, n_intervals=1_000, pairs=5)
     key = epoch_point_key(name, arrivals)
+    result = measure(key)
     print(
         f"\n{key}: {result.reference_ips:.0f} -> {result.optimized_ips:.0f} "
-        f"intervals/s ({result.speedup:.2f}x)"
+        f"intervals/s ({result.speedup:.2f}x, IQR {result.ratio_iqr:.2f})"
     )
     if name == "steady":
         assert result.speedup >= EPOCH_MIN_SPEEDUP, (

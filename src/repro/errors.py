@@ -92,6 +92,16 @@ class PackError(ReproError, ValueError):
         self.path = path
 
 
+class FaultScheduleError(ReproError, ValueError):
+    """A fleet's fault schedule leaves no node alive to serve the load.
+
+    The fleet spec itself is well-formed; what fails is splitting the
+    load over the survivors, because at some interval every node is
+    dead.  A different fault seed, lower fault probabilities or more
+    nodes fix it.
+    """
+
+
 class ExecutionError(ReproError, RuntimeError):
     """A scenario could not be executed, after the supervisor's retries.
 
@@ -170,6 +180,7 @@ class ResumeMismatchError(ReproError):
 
 __all__ = [
     "ExecutionError",
+    "FaultScheduleError",
     "PackError",
     "ReproError",
     "ResumeMismatchError",

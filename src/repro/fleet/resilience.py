@@ -36,6 +36,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.errors import FaultScheduleError
 from repro.fleet.faults import FaultEvent
 
 #: Per-node offered-load ceiling shared with the legacy fault split: a
@@ -102,9 +103,9 @@ def split_with_timeline(
         krow = known[seg_start]
         phys_alive = np.flatnonzero(prow > 0)
         if phys_alive.size == 0:
-            raise ValueError(
-                "fault schedule kills every node -- lower the probability "
-                "or add nodes"
+            raise FaultScheduleError(
+                f"fault schedule kills every node (intervals {seg_start}-"
+                f"{seg_end}) -- lower the probability or add nodes"
             )
         known_alive = np.flatnonzero(krow > 0)
         # The balancer plans over what it *believes*: the known-alive

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.errors import UnknownNameError
+from repro.errors import FaultScheduleError, UnknownNameError
 from repro.fleet.balancer import (
     BALANCER_FACTORIES,
     MAX_NODE_LEVEL,
@@ -459,7 +459,7 @@ class FleetSpec:
             row = multipliers[start]
             alive = np.flatnonzero(row > 0.0)
             if not len(alive):
-                raise ValueError(
+                raise FaultScheduleError(
                     "fault schedule kills every node "
                     f"(intervals {start}-{end}); nothing can serve the load"
                 )

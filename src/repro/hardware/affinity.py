@@ -16,6 +16,10 @@ from dataclasses import dataclass, field
 from repro.hardware.soc import Platform
 from repro.hardware.topology import Configuration, validate_configuration
 
+#: A configuration's placement layout: the LC core tuple, the same cores
+#: as a frozenset, and the cores left over, in platform order.
+_Layout = tuple[tuple[str, ...], frozenset[str], tuple[str, ...]]
+
 
 class Role(str, enum.Enum):
     """What a core is currently running."""
@@ -59,14 +63,28 @@ class AffinityManager:
     _lc_cores: frozenset[str] = field(init=False, default_factory=frozenset)
     _migrated_cores_total: int = field(init=False, default=0)
     _migration_events: int = field(init=False, default=0)
+    #: Per-configuration layout memo.  Only valid configurations are
+    #: stored, so an invalid one raises every time.
+    _layouts: dict[Configuration, _Layout] = field(init=False, default_factory=dict)
+
+    def _layout(self, config: Configuration) -> _Layout:
+        layout = self._layouts.get(config)
+        if layout is None:
+            validate_configuration(self.platform, config)
+            lc_cores = (
+                self.platform.big.core_ids[: config.n_big]
+                + self.platform.small.core_ids[: config.n_small]
+            )
+            lc_set = frozenset(lc_cores)
+            remaining = tuple(
+                cid for cid in self.platform.core_ids if cid not in lc_set
+            )
+            layout = self._layouts[config] = (lc_cores, lc_set, remaining)
+        return layout
 
     def lc_core_ids(self, config: Configuration) -> tuple[str, ...]:
         """Deterministic core ids for a configuration (big first)."""
-        validate_configuration(self.platform, config)
-        return (
-            self.platform.big.core_ids[: config.n_big]
-            + self.platform.small.core_ids[: config.n_small]
-        )
+        return self._layout(config)[0]
 
     def apply(
         self,
@@ -81,8 +99,7 @@ class AffinityManager:
         there are fewer jobs than free cores the extras stay idle, and if
         there are more jobs than cores the surplus jobs are suspended.
         """
-        lc_cores = self.lc_core_ids(config)
-        new_lc = frozenset(lc_cores)
+        lc_cores, new_lc, remaining = self._layout(config)
         moved = len(new_lc.symmetric_difference(self._lc_cores))
         event = moved > 0 and bool(self._lc_cores)
         if event:
@@ -90,7 +107,6 @@ class AffinityManager:
             self._migrated_cores_total += moved
         self._lc_cores = new_lc
 
-        remaining = [cid for cid in self.platform.core_ids if cid not in new_lc]
         batch_assignment = {
             core_id: job for job, core_id in enumerate(remaining[:n_batch_jobs])
         }

@@ -11,7 +11,7 @@ energy registers read by ARM's ``readenergy`` tool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -36,19 +36,25 @@ class ClusterPowerCoefficients:
     idle_fraction: float
 
     def cluster_power_w(
-        self, utilizations: np.ndarray, *, power_gate_idle: bool
+        self, utilizations: Sequence[float], *, power_gate_idle: bool
     ) -> float:
-        """Cluster power for per-core utilizations (dense, cluster order)."""
+        """Cluster power for per-core utilizations (dense, cluster order).
+
+        Callers on the interval path pass a list of Python floats: each
+        element of a numpy array would be boxed into a scalar object
+        first, which costs more than the arithmetic itself.
+        """
         total = self.static_w
         idle = self.idle_fraction
         busy = 1.0 - idle
+        dynamic = self.dynamic_w
         for util in utilizations:
             util = float(util)
             if not 0.0 <= util <= 1.0:
                 raise ValueError(f"utilization must be within [0, 1], got {util}")
             if util == 0.0 and power_gate_idle:
                 continue
-            total += self.dynamic_w * (idle + busy * util)
+            total += dynamic * (idle + busy * util)
         return total
 
 

@@ -146,15 +146,19 @@ class CompiledPack:
 
     def validate_buildable(self) -> None:
         """Probe every item past the frozen-spec layer: build its trace
-        (catching bad trace params that only surface at build time) and
-        lower its fault schedule.  Raises :class:`PackError` naming the
-        offending item; returns ``None`` when the whole pack is sound.
+        (catching bad trace params that only surface at build time) and,
+        for fleets, expand it into node specs -- which lowers the fault
+        schedule and splits the load over the survivors, so a schedule
+        that kills every node fails here.  The expansion is memoized on
+        the spec, so a run after validation does not pay for it twice.
+        Raises :class:`PackError` naming the offending item; returns
+        ``None`` when the whole pack is sound.
         """
         for item in self.items:
             try:
                 item.spec.trace.build()
                 if item.is_fleet:
-                    item.spec.fault_schedule()
+                    item.spec.node_specs()
             except (ReproError, KeyError, TypeError, ValueError) as err:
                 raise PackError(
                     str(err), path=f"{self.name}:{item.key}"

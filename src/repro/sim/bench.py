@@ -25,12 +25,17 @@ queue kernel, used to dominate.
 
 Used by ``benchmarks/test_bench_engine.py`` (assertions + CI guard),
 ``hipster-repro bench`` and ``tools/bench_report.py`` (both write
-``BENCH_engine.json`` at the repo root).
+``BENCH_engine.json`` at the repo root).  All of them measure a point
+through :func:`measure` under the one fixed protocol below (run lengths
+and pair count), so a gate verdict and a recorded number are always
+comparable.  The report also records the host (CPU model and count) and
+each point's spread: the interquartile range of its per-pair ratios.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform as platform_module
 import statistics
 import time
@@ -64,7 +69,7 @@ EPOCH_POINTS: tuple[tuple[str, int], ...] = (
     ("steady", 1_000),
 )
 
-#: Default measurement effort (per benchmark point).
+#: The measurement protocol, per benchmark point: run length and pairs.
 DEFAULT_INTERVALS = 300
 DEFAULT_PAIRS = 5
 
@@ -87,6 +92,13 @@ def epoch_point_key(name: str, arrivals: int) -> str:
     return f"epoch/{name}/arrivals={arrivals}"
 
 
+def point_keys() -> tuple[str, ...]:
+    """Every benchmark point's key, engine points first."""
+    keys = [point_key(a, c) for a, c in BENCH_POINTS]
+    keys += [epoch_point_key(n, a) for n, a in EPOCH_POINTS]
+    return tuple(keys)
+
+
 @dataclass(frozen=True)
 class BenchPointResult:
     """Measured numbers for one benchmark point."""
@@ -96,13 +108,10 @@ class BenchPointResult:
     reference_ips: float
     optimized_ips: float
     speedup: float
+    ratio_iqr: float
 
     def as_json(self) -> dict:
-        return {
-            "reference_intervals_per_sec": round(self.reference_ips, 1),
-            "optimized_intervals_per_sec": round(self.optimized_ips, 1),
-            "speedup": round(self.speedup, 2),
-        }
+        return _point_json(self)
 
 
 @dataclass(frozen=True)
@@ -121,13 +130,37 @@ class EpochPointResult:
     reference_ips: float
     optimized_ips: float
     speedup: float
+    ratio_iqr: float
 
     def as_json(self) -> dict:
-        return {
-            "reference_intervals_per_sec": round(self.reference_ips, 1),
-            "optimized_intervals_per_sec": round(self.optimized_ips, 1),
-            "speedup": round(self.speedup, 2),
-        }
+        return _point_json(self)
+
+
+def _point_json(result: BenchPointResult | EpochPointResult) -> dict:
+    return {
+        "reference_intervals_per_sec": round(result.reference_ips, 1),
+        "optimized_intervals_per_sec": round(result.optimized_ips, 1),
+        "speedup": round(result.speedup, 2),
+        "ratio_iqr": round(result.ratio_iqr, 2),
+    }
+
+
+def _paired(
+    reference: Callable[[], float], optimized: Callable[[], float]
+) -> tuple[float, float, float, float]:
+    """``DEFAULT_PAIRS`` paired runs: (best reference ips, best optimized
+    ips, median per-pair ratio, interquartile range of the ratios)."""
+    ratios: list[float] = []
+    best_ref = 0.0
+    best_opt = 0.0
+    for _ in range(DEFAULT_PAIRS):
+        ref = reference()
+        opt = optimized()
+        ratios.append(opt / ref)
+        best_ref = max(best_ref, ref)
+        best_opt = max(best_opt, opt)
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
+    return best_ref, best_opt, statistics.median(ratios), q3 - q1
 
 
 def _one_run(
@@ -157,32 +190,24 @@ def _one_run(
     return n_intervals / (time.perf_counter() - t0)
 
 
-def measure_point(
-    arrivals: int,
-    collocate: bool,
-    *,
-    n_intervals: int = DEFAULT_INTERVALS,
-    pairs: int = DEFAULT_PAIRS,
-) -> BenchPointResult:
+def measure_point(arrivals: int, collocate: bool) -> BenchPointResult:
     """Paired reference/optimized measurement of one benchmark point."""
     from repro.sim.engine import run_experiment
     from repro.sim.engine_reference import run_reference_experiment
 
-    ratios: list[float] = []
-    best_ref = 0.0
-    best_opt = 0.0
-    for _ in range(pairs):
-        ref = _one_run(run_reference_experiment, arrivals, collocate, n_intervals)
-        opt = _one_run(run_experiment, arrivals, collocate, n_intervals)
-        ratios.append(opt / ref)
-        best_ref = max(best_ref, ref)
-        best_opt = max(best_opt, opt)
+    ref, opt, speedup, iqr = _paired(
+        lambda: _one_run(
+            run_reference_experiment, arrivals, collocate, DEFAULT_INTERVALS
+        ),
+        lambda: _one_run(run_experiment, arrivals, collocate, DEFAULT_INTERVALS),
+    )
     return BenchPointResult(
         arrivals=arrivals,
         collocate=collocate,
-        reference_ips=best_ref,
-        optimized_ips=best_opt,
-        speedup=statistics.median(ratios),
+        reference_ips=ref,
+        optimized_ips=opt,
+        speedup=speedup,
+        ratio_iqr=iqr,
     )
 
 
@@ -209,48 +234,55 @@ def _one_epoch_run(arrivals: int, n_intervals: int, *, epoch: bool) -> float:
     return n_intervals / (time.perf_counter() - t0)
 
 
-def measure_epoch_point(
-    name: str,
-    arrivals: int,
-    *,
-    n_intervals: int = EPOCH_INTERVALS,
-    pairs: int = DEFAULT_PAIRS,
-) -> EpochPointResult:
+def measure_epoch_point(name: str, arrivals: int) -> EpochPointResult:
     """Paired scalar/epoch measurement of one fast-path point."""
-    ratios: list[float] = []
-    best_ref = 0.0
-    best_opt = 0.0
-    for _ in range(pairs):
-        ref = _one_epoch_run(arrivals, n_intervals, epoch=False)
-        opt = _one_epoch_run(arrivals, n_intervals, epoch=True)
-        ratios.append(opt / ref)
-        best_ref = max(best_ref, ref)
-        best_opt = max(best_opt, opt)
+    ref, opt, speedup, iqr = _paired(
+        lambda: _one_epoch_run(arrivals, EPOCH_INTERVALS, epoch=False),
+        lambda: _one_epoch_run(arrivals, EPOCH_INTERVALS, epoch=True),
+    )
     return EpochPointResult(
         name=name,
         arrivals=arrivals,
-        reference_ips=best_ref,
-        optimized_ips=best_opt,
-        speedup=statistics.median(ratios),
+        reference_ips=ref,
+        optimized_ips=opt,
+        speedup=speedup,
+        ratio_iqr=iqr,
     )
 
 
-def measure_all(
-    *, n_intervals: int = DEFAULT_INTERVALS, pairs: int = DEFAULT_PAIRS
-) -> dict[str, BenchPointResult | EpochPointResult]:
-    """Measure every benchmark point; keys from :func:`point_key` and
-    :func:`epoch_point_key`."""
-    results: dict[str, BenchPointResult | EpochPointResult] = {
-        point_key(arrivals, collocate): measure_point(
-            arrivals, collocate, n_intervals=n_intervals, pairs=pairs
-        )
-        for arrivals, collocate in BENCH_POINTS
-    }
+def measure(key: str) -> BenchPointResult | EpochPointResult:
+    """Measure one point, by its key, under the fixed protocol: the one
+    entry point of both the CI gate and the recorder."""
+    for arrivals, collocate in BENCH_POINTS:
+        if key == point_key(arrivals, collocate):
+            return measure_point(arrivals, collocate)
     for name, arrivals in EPOCH_POINTS:
-        results[epoch_point_key(name, arrivals)] = measure_epoch_point(
-            name, arrivals, pairs=pairs
-        )
-    return results
+        if key == epoch_point_key(name, arrivals):
+            return measure_epoch_point(name, arrivals)
+    raise KeyError(f"unknown benchmark point {key!r}")
+
+
+def measure_all() -> dict[str, BenchPointResult | EpochPointResult]:
+    """Measure every benchmark point, keyed by :func:`point_keys`."""
+    return {key: measure(key) for key in point_keys()}
+
+
+def host_fingerprint() -> dict:
+    """The measuring host: Python, numpy, CPU model and count."""
+    cpu = platform_module.processor() or "unknown"
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {
+        "python": platform_module.python_version(),
+        "numpy": np.__version__,
+        "cpu": cpu,
+        "nproc": os.cpu_count(),
+    }
 
 
 def build_report(
@@ -271,26 +303,17 @@ def build_report(
         "protocol": (
             f"paired runs ({DEFAULT_PAIRS} pairs x {DEFAULT_INTERVALS} "
             f"intervals; epoch/* points {EPOCH_INTERVALS} intervals), "
-            "speedup = median of per-pair ratios, "
-            "intervals/sec = best over pairs"
+            "speedup = median of per-pair ratios, ratio_iqr = their "
+            "interquartile range, intervals/sec = best over pairs"
         ),
-        "environment": {
-            "python": platform_module.python_version(),
-            "numpy": np.__version__,
-        },
+        "environment": host_fingerprint(),
         "points": {key: results[key].as_json() for key in sorted(results)},
     }
 
 
-def write_report(
-    path: str | Path,
-    *,
-    n_intervals: int = DEFAULT_INTERVALS,
-    pairs: int = DEFAULT_PAIRS,
-) -> dict:
+def write_report(path: str | Path) -> dict:
     """Measure everything and write the JSON report; returns the payload."""
-    results = measure_all(n_intervals=n_intervals, pairs=pairs)
-    report = build_report(results)
+    report = build_report(measure_all())
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 
@@ -308,13 +331,16 @@ def render_report(report: dict) -> str:
     env = report["environment"]
     header = (
         f"Engine benchmark ({report['kernel_version']}, "
-        f"python {env['python']}, numpy {env['numpy']}):"
+        f"python {env['python']}, numpy {env['numpy']}, "
+        f"{env.get('cpu', 'unknown CPU')} x{env.get('nproc', '?')}):"
     )
     lines = [header]
     for key, point in sorted(report["points"].items()):
+        spread = point.get("ratio_iqr")
+        iqr = "" if spread is None else f", IQR {spread:.2f}"
         lines.append(
             f"  {key}: {point['reference_intervals_per_sec']:.0f} -> "
             f"{point['optimized_intervals_per_sec']:.0f} intervals/s "
-            f"({point['speedup']:.2f}x)"
+            f"({point['speedup']:.2f}x{iqr})"
         )
     return "\n".join(lines)

@@ -28,6 +28,15 @@ computed once per distinct decision (:class:`_DecisionState`) and reused.
 When a manager repeats its previous decision (the common case for static
 and converged table-driven policies) the engine skips the affinity
 re-apply, pressure recomputation and queue reconfiguration outright.
+A changed decision costs two DVFS writes, an affinity apply whose core
+layout is memoized per configuration, and a queue reconfiguration whose
+speed-derived state is memoized per speed vector.
+The interval tail does no work whose result it discards: the per-core
+counter vector is built only when the Juno counter bug is armed (a
+disarmed read is the ground truth, whose sums are decision constants),
+the power law reads utilizations as Python floats, and the migration
+adder touches only the stalled requests in the window's prefix of the
+sorted arrivals (its rng draw still covers every arrival).
 The optimization is implementation-only: the rng stream and every
 observation are bit-identical to the reference implementation preserved
 in :mod:`repro.sim.engine_reference`, which the equivalence tests
@@ -72,7 +81,6 @@ from repro.sim.queueing import (
     _SCALAR_SERVER_LIMIT,
     DispatchQueue,
     DrawnInterval,
-    IntervalQueueStats,
 )
 from repro.sim.records import ExperimentResult, ObservationTable
 from repro.workloads.base import LatencyCriticalWorkload, lc_server_speeds_array
@@ -172,6 +180,7 @@ class _DecisionState:
         "batch_ips_sum",
         "true_ips_base",
         "utils_base",
+        "utils_base_list",
         "big_power",
         "small_power",
     )
@@ -189,6 +198,7 @@ class _DecisionState:
     batch_ips_sum: float
     true_ips_base: np.ndarray
     utils_base: np.ndarray
+    utils_base_list: list[float]
 
 
 class IntervalSimulator:
@@ -222,7 +232,7 @@ class IntervalSimulator:
         scale = workload.sim_scale
         # The migration cost is modelled as a latency adder on requests
         # arriving during the (wall-clock) migration window -- see
-        # _migration_latency_extra_ms -- so the queue itself only needs the
+        # _add_migration_latency_ms -- so the queue itself only needs the
         # backlog bound (dilated, like every queue-internal delay).
         self._queue = DispatchQueue(
             rng=self._rng,
@@ -249,6 +259,8 @@ class IntervalSimulator:
         self._counters_armed = self._counters.bug_armed
         self._n_big = platform.big.n_cores
         self._rest_of_system_w = platform.rest_of_system_w
+        self._dt = self.config.interval_s
+        self._migration_penalty_s = self.config.migration_penalty_s
         # Per-run invariants of the workload, bound once (attribute and
         # bound-method creation is measurable at ~100k intervals/s).
         self._demand_sampler = workload.sample_demands
@@ -261,6 +273,7 @@ class IntervalSimulator:
         # Decision-epoch fast path: trace lookahead (filled by run()) and
         # engagement counters (read by tests and the benchmark harness).
         self._loads: np.ndarray | None = None
+        self._load_list: list[float] = []
         self.epochs_run = 0
         self.epoch_intervals = 0
 
@@ -306,6 +319,7 @@ class IntervalSimulator:
         dt = self.config.interval_s
         mids = np.arange(total, dtype=np.float64) * dt + dt / 2.0
         self._loads = self.trace.load_at_many(mids)
+        self._load_list = self._loads.tolist()
 
         manager = self.manager
         manager_type = type(manager)
@@ -409,95 +423,93 @@ class IntervalSimulator:
         migrated_cores: int,
         migration_event: bool,
     ) -> None:
-        dt = self.config.interval_s
+        dt = self._dt
         t0 = index * dt
         t1 = t0 + dt
-        load = float(self._loads[index])
-        workload = self.workload
+        load = self._load_list[index]
+        scale = self._sim_scale
+        max_rps = self._max_load_rps
 
         # Latency-critical queueing replica.  The inlined rate expression
         # is sim_arrival_rate() verbatim (same operation order).
         stats = self._queue.run_interval(
-            t0,
-            t1,
-            load * self._max_load_rps / self._sim_scale,
-            self._demand_sampler,
+            t0, t1, load * max_rps / scale, self._demand_sampler
         )
-        latencies_ms = workload.reported_latency_ms(stats.latencies_s)
-        if (
-            migration_event
-            and stats.arrivals > 0
-            and self.config.migration_penalty_s > 0
-        ):
-            latencies_ms = latencies_ms + self._migration_latency_extra_ms(
-                migrated_cores, stats, t0, state.n_servers
+        n = stats.arrivals
+        latencies_ms = self.workload.reported_latency_ms(stats.latencies_s)
+        if migration_event and n > 0 and self._migration_penalty_s > 0:
+            self._add_migration_latency_ms(
+                latencies_ms, migrated_cores, stats.arrival_times_s, t0, state.n_servers
             )
         # Inlined summarize_latencies (percentile validated once at start;
         # latencies_ms is always a float64 array here): same quantile and
         # mean arithmetic, minus the per-interval wrapper work.  The mean
         # runs first -- pairwise summation is order-sensitive and the
         # quantile then partitions the buffer in place.
-        if latencies_ms.size == 0:
+        if n == 0:
             tail = mean_latency = self._idle_latency_ms
         else:
-            mean_latency = float(np.add.reduce(latencies_ms) / latencies_ms.size)
+            mean_latency = float(np.add.reduce(latencies_ms) / n)
             tail = linear_quantile(
                 latencies_ms, self._qos_percentile, destructive=True
             )
 
-        # Batch execution and perf counters (dense, core-indexed).  The
-        # per-server utilizations scatter into the dense core vectors by
-        # fancy index; with unique targets this assigns the identical
-        # floats the old element loop did.
-        lc_index = state.lc_index_arr
-        u_arr = np.asarray(stats.utilizations)[: lc_index.size]
-        true_ips = state.true_ips_base.copy()
-        true_ips[lc_index] = state.lc_coeff_arr * u_arr
+        # Batch counters.  Only an armed Juno counter bug reads the
+        # per-core counter vector (and may draw a garbage sample); a
+        # disarmed read returns the ground truth, whose sums are
+        # decision constants.
+        utils = stats.utilizations
         if self._counters_armed:
+            lc_index = state.lc_index_arr
+            true_ips = state.true_ips_base.copy()
+            true_ips[lc_index] = state.lc_coeff_arr * np.asarray(utils)[: lc_index.size]
             counter_vec, garbage = self._counters.read_array(true_ips, self._rng)
         else:
-            counter_vec, garbage = true_ips, False
+            garbage = False
         if garbage:
             big_batch = sum(float(counter_vec[i]) for i in state.batch_big_index)
             small_batch = sum(float(counter_vec[i]) for i in state.batch_small_index)
         else:
             big_batch = state.big_batch_sum
             small_batch = state.small_batch_sum
-        batch_instructions = state.batch_ips_sum * dt
 
-        # Power and energy (per-operating-point coefficients cached in
-        # the decision state; arithmetic identical to PowerModel's).
-        utils_vec = state.utils_base.copy()
-        utils_vec[lc_index] = u_arr
+        # Power and energy: the LC servers' utilizations land on the
+        # decision's per-core base as Python floats (zip stops at the
+        # used LC cores), and each cluster sums its dense slice in core
+        # order with the decision's cached power-law coefficients.
+        core_utils = state.utils_base_list.copy()
+        for i, u in zip(state.lc_used_index, utils):
+            core_utils[i] = u
         gate = self._power_gate
         n_big = self._n_big
         breakdown = PowerBreakdown(
             big_w=state.big_power.cluster_power_w(
-                utils_vec[:n_big], power_gate_idle=gate
+                core_utils[:n_big], power_gate_idle=gate
             ),
             small_w=state.small_power.cluster_power_w(
-                utils_vec[n_big:], power_gate_idle=gate
+                core_utils[n_big:], power_gate_idle=gate
             ),
             rest_w=self._rest_of_system_w,
         )
         self._meter.record(breakdown, dt)
+        power_w = breakdown.total_w
 
-        arrivals_real = stats.arrivals * self._sim_scale
+        arrivals_real = n * scale
         arrival_rps = arrivals_real / dt
         table.append(
             index=index,
             t_start_s=t0,
             duration_s=dt,
             offered_load=load,
-            measured_load=min(arrival_rps / self._max_load_rps, 1.0),
+            measured_load=min(arrival_rps / max_rps, 1.0),
             arrival_rps=arrival_rps,
             n_requests=int(arrivals_real),
             tail_latency_ms=tail,
             mean_latency_ms=mean_latency,
             qos_met=tail <= self._target_ms,
             tardiness=tail / self._target_ms,
-            power_w=breakdown.total_w,
-            energy_j=breakdown.total_w * dt,
+            power_w=power_w,
+            energy_j=power_w * dt,
             big_ips=big_batch,
             small_ips=small_batch,
             counter_garbage=garbage,
@@ -508,9 +520,9 @@ class IntervalSimulator:
             migrated_cores=migrated_cores,
             migration_event=migration_event,
             mean_utilization=stats.mean_utilization,
-            backlog_s=self._queue.backlog_s(t1) / self._sim_scale,
-            shed_work_s=stats.shed_work_s / self._sim_scale,
-            batch_instructions=batch_instructions,
+            backlog_s=self._queue.backlog_s(t1) / scale,
+            shed_work_s=stats.shed_work_s / scale,
+            batch_instructions=state.batch_ips_sum * dt,
         )
         self.manager.observe(table.view(index))
 
@@ -550,7 +562,7 @@ class IntervalSimulator:
         scale = self._sim_scale
         max_rps = self._max_load_rps
         sampler = self._demand_sampler
-        loads = self._loads
+        loads = self._load_list
 
         drawn: list[DrawnInterval] = []
         t0s: list[float] = []
@@ -564,7 +576,7 @@ class IntervalSimulator:
             index = start + j
             t0 = index * dt
             t1 = t0 + dt
-            load = float(loads[index])
+            load = loads[index]
             d = queue.draw_interval(t0, t1, load * max_rps / scale, sampler)
             arrivals_real = d.n * scale
             rps = arrivals_real / dt
@@ -590,7 +602,7 @@ class IntervalSimulator:
         # contiguous slice at its exact length (the mean first --
         # linear_quantile partitions the slice in place).
         latencies_ms = self.workload.reported_latency_ms(stats.latencies_s)
-        offsets = stats.offsets
+        offsets = stats.offsets.tolist()
         idle_ms = self._idle_latency_ms
         percentile = self._qos_percentile
         tails = np.empty(n_epoch)
@@ -761,6 +773,7 @@ class IntervalSimulator:
             utils_base[i] = 1.0
         state.true_ips_base = true_ips_base
         state.utils_base = utils_base
+        state.utils_base_list = utils_base.tolist()
         state.batch_big_index = [i for i in batch_index if i < n_big]
         state.batch_small_index = [i for i in batch_index if i >= n_big]
         state.big_batch_sum = sum(
@@ -799,14 +812,15 @@ class IntervalSimulator:
             self._microbench_ips_memo[key] = ips
         return ips
 
-    def _migration_latency_extra_ms(
+    def _add_migration_latency_ms(
         self,
+        latencies_ms: np.ndarray,
         migrated_cores: int,
-        stats: IntervalQueueStats,
+        arrival_times_s: np.ndarray,
         t0: float,
         n_servers: int,
-    ) -> np.ndarray:
-        """Latency added by a core migration (wall-clock, not dilated).
+    ) -> None:
+        """Add the latency of a core migration (wall-clock, not dilated).
 
         Requests arriving while threads migrate and caches refill wait out
         the remainder of the migration window.  Only threads on *changed*
@@ -819,18 +833,20 @@ class IntervalSimulator:
         Only called when a migration happened, the penalty is positive and
         requests arrived -- exactly the cases in which the reference path
         consumes an rng draw, so draw order is preserved while the common
-        no-migration interval allocates nothing at all.  (The draw itself
-        cannot be thinned further: it always covers every arrival in the
-        interval, stalled or not.)
+        no-migration interval allocates nothing at all.  The draw itself
+        cannot be thinned: it always covers every arrival in the interval,
+        stalled or not.  The arithmetic can: arrivals are sorted, so the
+        migration window is a prefix, and only stalled requests in it are
+        touched (adding an exact ``0.0`` to the others, as the reference
+        does, leaves their positive latencies unchanged).
         """
-        penalty = self.config.migration_penalty_s
+        end = t0 + self._migration_penalty_s
         fraction = min(migrated_cores / max(n_servers, 1), 1.0)
-        in_window = stats.arrival_times_s < t0 + penalty
-        stalled = in_window & (self._rng.random(stats.arrivals) < fraction)
-        extra = np.zeros(stats.arrivals)
-        remaining_s = t0 + penalty - stats.arrival_times_s[stalled]
-        extra[stalled] = remaining_s * 1e3
-        return extra
+        u = self._rng.random(arrival_times_s.size)
+        m = int(arrival_times_s.searchsorted(end))
+        stalled = (u[:m] < fraction).nonzero()[0]
+        if stalled.size:
+            latencies_ms[stalled] += (end - arrival_times_s[stalled]) * 1e3
 
 
 def _epoch_cluster_power(

@@ -30,6 +30,30 @@ redistribute residual backlog over the new server set and, when the *core
 set* changed (a migration -- not a DVFS change), charge a migration
 penalty; this asymmetry between costly migrations and near-free DVFS
 transitions is central to the paper's argument (Section 2, citing Rubik).
+
+Hot-path layout
+---------------
+Per interval, :meth:`DispatchQueue.run_drawn` picks its kernel by server
+count: one server runs the Lindley pass directly; two group requests
+with one comparison mask; three or more lay every server's requests out
+as contiguous segments with one stable sort of the ``uint8`` server
+indices, so only the two recurrences (``cumsum``, running maximum) and
+the service sums run per server while every elementwise pass runs once.
+Below ``_SCALAR_SERVER_LIMIT`` servers the per-server bookkeeping
+(utilizations, backlog, shedding) runs on Python floats.  Over a
+decision-stable epoch, :meth:`DispatchQueue.run_epoch_drawn` keeps only
+the free-time recurrence in a Python loop; service sums, utilizations
+and backlog run as whole columns.
+
+Per decision, :meth:`DispatchQueue.reconfigure` is the Mapper's DVFS
+write or core migration.  Everything that depends on the speed vector
+alone -- validation, the speed sum, dispatch weights and CDF -- sits in
+a per-vector memo, so a run pays it once per distinct decision; the
+backlog carry-over is the only per-call work.  Every path performs the
+identical IEEE operations, in the identical order, as the per-server
+numpy loop it replaced, so outputs are bit-identical and
+``KERNEL_VERSION`` is unchanged (``tests/test_queue_differential.py``
+holds the replaced expressions as its oracle).
 """
 
 from __future__ import annotations
@@ -132,14 +156,18 @@ class EpochQueueStats(NamedTuple):
     offsets: np.ndarray
     counts: list[int]
     utilizations: np.ndarray
-    mean_utilization: list[float]
+    mean_utilization: np.ndarray
     shed_work_s: list[float]
-    backlog_s: list[float]
+    backlog_s: np.ndarray
 
 
-@dataclass(frozen=True)
-class IntervalQueueStats:
-    """What happened inside the queue during one monitoring interval."""
+class IntervalQueueStats(NamedTuple):
+    """What happened inside the queue during one monitoring interval.
+
+    A named tuple rather than a frozen dataclass: one is built per
+    interval, and tuple construction skips the per-field
+    ``object.__setattr__`` a frozen dataclass pays.
+    """
 
     latencies_s: np.ndarray
     arrival_times_s: np.ndarray
@@ -155,9 +183,41 @@ class IntervalQueueStats:
             return 0.0
         if n < _SCALAR_SERVER_LIMIT:
             # np.mean's pairwise reduction is plain sequential summation
-            # below eight elements, so this is the identical float.
-            return sum(self.utilizations) / n
+            # below eight elements, so this is the identical float.  An
+            # explicit loop, not sum(): from Python 3.12 on, sum() of
+            # floats is compensated and may round differently.
+            total = 0.0
+            for util in self.utilizations:
+                total += util
+            return total / n
         return float(np.mean(self.utilizations))
+
+
+class _ServerSet:
+    """One validated speed vector and everything derived from it alone.
+
+    :meth:`DispatchQueue.reconfigure` builds one per distinct vector and
+    memoizes it, so the validation, the speed sum and the dispatch
+    weights/CDF are paid once per distinct decision rather than once per
+    reconfiguration.  ``values`` holds the speeds as Python floats for the
+    scalar backlog arithmetic.
+    """
+
+    __slots__ = ("speeds", "values", "total", "weights", "cdf")
+
+    def __init__(self, speeds: np.ndarray, balance_exponent: float):
+        self.speeds = speeds.copy()
+        self.speeds.flags.writeable = False
+        self.values = tuple(self.speeds.tolist())
+        self.total = float(np.sum(self.speeds))
+        weights = self.speeds**balance_exponent
+        self.weights = weights / weights.sum()
+        # The dispatch CDF, built exactly the way ``Generator.choice``
+        # builds it internally (cumsum then renormalize), so the manual
+        # inverse-CDF dispatch below reproduces ``rng.choice`` bit for bit.
+        cdf = np.cumsum(self.weights)
+        cdf /= cdf[-1]
+        self.cdf = cdf
 
 
 @dataclass
@@ -199,6 +259,10 @@ class DispatchQueue:
     _free: np.ndarray = field(init=False, default_factory=lambda: np.zeros(0))
     _weights: np.ndarray = field(init=False, default_factory=lambda: np.zeros(0))
     _cdf: np.ndarray = field(init=False, default_factory=lambda: np.zeros(0))
+    _servers: _ServerSet | None = field(init=False, default=None)
+    #: Memo of every speed vector seen so far, keyed by its bytes; it
+    #: holds validated vectors only, so invalid input raises every time.
+    _server_sets: dict[bytes, _ServerSet] = field(init=False, default_factory=dict)
 
     @property
     def n_servers(self) -> int:
@@ -233,43 +297,61 @@ class DispatchQueue:
         * a migration (core set changed) -- residual work is pooled and
           spread evenly (in time) over the new servers, and every server
           is blacked out for ``migration_penalty_s``.
+
+        Everything that depends on the speed vector alone lives in a
+        per-vector memo (:class:`_ServerSet`), so a decision the run has
+        seen before costs one dict lookup plus the backlog carry-over;
+        a repeated vector is the memo entry already in place.  The DVFS
+        rescale runs on Python floats for every server count (it is
+        elementwise); the migration pool's residual-work sum does too
+        below ``_SCALAR_SERVER_LIMIT`` servers, where a sequential sum is
+        the float numpy's pairwise ``np.sum`` gives.
         """
         new_speeds = np.asarray(speeds, dtype=float)
         if new_speeds.ndim != 1 or len(new_speeds) == 0:
             raise ValueError("need at least one server")
-        if np.any(new_speeds <= 0):
-            raise ValueError("server speeds must be positive")
+        key = new_speeds.tobytes()
+        new = self._server_sets.get(key)
+        if new is None:
+            if not (new_speeds > 0).all():
+                raise ValueError("server speeds must be positive")
+            new = self._server_sets[key] = _ServerSet(new_speeds, self.balance_exponent)
+        old = self._servers
+        k = len(new.values)
 
-        same_count = len(new_speeds) == self.n_servers
-        if same_count and not migration:
-            if not np.array_equal(new_speeds, self._speeds):
-                backlog = np.maximum(self._free - now, 0.0)
-                ratio = self._speeds / new_speeds
-                self._free = now + np.minimum(self._free - now, 0.0) + backlog * ratio
-                self._speeds = new_speeds
-                self._set_weights(new_speeds)
+        if old is not None and len(old.values) == k and not migration:
+            if new is old:
+                return
+            # Elementwise, no reduction: the same IEEE operations, in the
+            # same order, as ``now + minimum(free - now, 0) + maximum(free
+            # - now, 0) * (old / new)`` on arrays, for any server count.
+            free = []
+            for f, o, s in zip(self._free.tolist(), old.values, new.values):
+                d = f - now
+                backlog = d if d > 0.0 else 0.0
+                free.append(now + (d if d < 0.0 else 0.0) + backlog * (o / s))
+            self._free = np.array(free)
+            self._adopt(new)
             return
 
         residual_work = 0.0
-        if self.n_servers:
-            residual_work = float(
-                np.sum(np.maximum(self._free - now, 0.0) * self._speeds)
-            )
+        if old is not None:
+            if len(old.values) < _SCALAR_SERVER_LIMIT:
+                for f, s in zip(self._free.tolist(), old.values):
+                    residual_work += (f - now if f > now else 0.0) * s
+            else:
+                residual_work = float(
+                    np.sum(np.maximum(self._free - now, 0.0) * old.speeds)
+                )
         start = now + (self.migration_penalty_s if migration else 0.0)
-        per_server_delay = residual_work / float(np.sum(new_speeds))
-        self._speeds = new_speeds
-        self._free = np.full(len(new_speeds), start + per_server_delay)
-        self._set_weights(new_speeds)
+        self._free = np.full(k, start + residual_work / new.total)
+        self._adopt(new)
 
-    def _set_weights(self, speeds: np.ndarray) -> None:
-        weights = speeds**self.balance_exponent
-        self._weights = weights / weights.sum()
-        # The dispatch CDF, built exactly the way ``Generator.choice``
-        # builds it internally (cumsum then renormalize), so the manual
-        # inverse-CDF dispatch below reproduces ``rng.choice`` bit for bit.
-        cdf = np.cumsum(self._weights)
-        cdf /= cdf[-1]
-        self._cdf = cdf
+    def _adopt(self, servers: _ServerSet) -> None:
+        self._servers = servers
+        self._speeds = servers.speeds
+        self._weights = servers.weights
+        self._cdf = servers.cdf
 
     def _dispatch(self, n: int) -> np.ndarray:
         """Server index per request: ``rng.choice`` without its overhead.
@@ -286,35 +368,21 @@ class DispatchQueue:
     def _assign(self, u: np.ndarray) -> np.ndarray:
         """Server index per already-drawn dispatch uniform (see
         :meth:`_dispatch`; separated so the epoch path can assign a whole
-        epoch's stored uniforms with the identical comparisons)."""
+        epoch's stored uniforms with the identical comparisons).
+
+        Up to nine servers the indices come back as ``uint8``: the
+        comparison count fits, and it is the key type the grouping sort
+        of :meth:`run_drawn` handles with a radix sort."""
         cdf = self._cdf
         last = len(cdf) - 1  # cdf[-1] == 1.0 > u always, never counted
         if last == 0:
             return np.zeros(len(u), dtype=np.intp)
         if last > 8:
             return cdf.searchsorted(u, side="right")
-        assigned = (u >= cdf[0]).astype(np.intp)
+        assigned = (u >= cdf[0]).astype(np.uint8)
         for j in range(1, last):
             assigned += u >= cdf[j]
         return assigned
-
-    def _group_from_u(self, u: np.ndarray) -> list[np.ndarray] | None:
-        """Per-server request index arrays for stored dispatch uniforms.
-
-        Same assignment as :meth:`_dispatch` (the draw happened in
-        :meth:`draw_interval`); ``None`` means a single server takes all.
-        Two servers -- the platform's big-cores-only configurations, the
-        most common case in practice -- group from one comparison mask
-        without ever materializing the assignment array.
-        """
-        k = self.n_servers
-        if k == 1:
-            return None
-        if k == 2:
-            mask = u >= self._cdf[0]
-            return [(~mask).nonzero()[0], mask.nonzero()[0]]
-        assigned = self._assign(u)
-        return [(assigned == j).nonzero()[0] for j in range(k)]
 
     def draw_interval(
         self,
@@ -388,16 +456,14 @@ class DispatchQueue:
 
         arrivals = drawn.times
         demands = drawn.demands
-        groups = self._group_from_u(drawn.dispatch_u)
-
         service_sums = [0.0] * n_servers
         free = self._free
         speeds = self._speeds
-        # The per-server block below is lindley_completion_times inlined
-        # (same six array ops), so the kernel pays no call overhead at
+        # The kernels below are lindley_completion_times inlined (same six
+        # array ops per server), so the kernel pays no call overhead at
         # interval rates of ~10k/s.
         maximum = np.maximum
-        if groups is None:
+        if n_servers == 1:
             # Single server: no grouping work at all (the dispatch draw
             # still happened, keeping the stream aligned).
             service = demands / speeds[0]
@@ -410,10 +476,14 @@ class DispatchQueue:
             np.add(cum, buf, out=buf)
             free[0] = buf[-1]
             latencies = np.subtract(buf, arrivals, out=buf)
-        else:
+        elif n_servers == 2:
+            # Two servers -- the platform's big-cores-only configurations
+            # -- group from one comparison mask without materializing the
+            # assignment array.
+            mask = drawn.dispatch_u >= self._cdf[0]
             latencies = np.empty(n)
-            for k in range(n_servers):
-                idx = groups[k]
+            groups = ((~mask).nonzero()[0], mask.nonzero()[0])
+            for k, idx in enumerate(groups):
                 if len(idx) == 0:
                     continue
                 service = demands[idx] / speeds[k]
@@ -428,6 +498,45 @@ class DispatchQueue:
                 free[k] = buf[-1]
                 np.subtract(buf, arr_k, out=buf)
                 latencies[idx] = buf
+        else:
+            # Three or more servers: one stable sort of the server indices
+            # lays every server's requests out as a contiguous segment in
+            # arrival order.  Only the two recurrences (cumsum and running
+            # maximum) and the service sum must run per segment; every
+            # elementwise pass runs once over all requests, with the
+            # per-server speed and free time repeated along the segments.
+            # Each element sees the identical IEEE operations as in a
+            # per-server loop, so the floats are bit-identical.
+            assigned = self._assign(drawn.dispatch_u)
+            order = assigned.argsort(kind="stable")
+            counts_arr = np.bincount(assigned, minlength=n_servers)
+            arr = arrivals[order]
+            service = demands[order]
+            np.divide(service, speeds.repeat(counts_arr), out=service)
+            free_rep = free.repeat(counts_arr)
+            cum = np.empty(n)
+            segments = []
+            lo = 0
+            for k, c in enumerate(counts_arr.tolist()):
+                if c:
+                    hi = lo + c
+                    seg = service[lo:hi]
+                    service_sums[k] = float(np.add.reduce(seg))
+                    seg.cumsum(out=cum[lo:hi])
+                    segments.append((k, lo, hi))
+                    lo = hi
+            buf = cum - service
+            np.subtract(arr, buf, out=buf)
+            for _, lo, hi in segments:
+                seg = buf[lo:hi]
+                maximum.accumulate(seg, out=seg)
+            maximum(buf, free_rep, out=buf)
+            np.add(cum, buf, out=buf)
+            for k, _, hi in segments:
+                free[k] = buf[hi - 1]
+            np.subtract(buf, arr, out=buf)
+            latencies = np.empty(n)
+            latencies[order] = buf
 
         if scalar:
             utils = tuple(
@@ -473,10 +582,12 @@ class DispatchQueue:
           whose per-boundary update ``free' = cum_last + max(free,
           runmax_last)`` and shed clamp are the scalar path's own two
           scalar operations, evaluated in a cheap Python scan;
-        * per-interval bookkeeping (carried busy time, utilizations,
-          shedding, backlog) replicates the scalar branch of
-          :meth:`run_drawn` expression by expression, which is why the
-          epoch path requires ``n_servers < _SCALAR_SERVER_LIMIT``.
+        * the rest of the per-interval bookkeeping (carried busy time,
+          utilizations, backlog) replicates the scalar branch of
+          :meth:`run_drawn` expression by expression, evaluated as whole
+          columns over the epoch once the scan has fixed every
+          interval's free times, which is why the epoch path requires
+          ``n_servers < _SCALAR_SERVER_LIMIT``.
         """
         k = self.n_servers
         if k == 0:
@@ -500,7 +611,7 @@ class DispatchQueue:
             if k == 1:
                 assigned = None
             elif k == 2:
-                # Matches _group_from_u's mask grouping: server 0 takes
+                # Matches run_drawn's two-server mask grouping: server 0 takes
                 # ~mask, server 1 takes mask.
                 assigned = (u_all >= self._cdf[0]).astype(np.intp)
             else:
@@ -548,94 +659,75 @@ class DispatchQueue:
             )
 
         # Cross-interval scan: carry each server's free time across the
-        # epoch with the scalar path's own per-boundary operations.  The
-        # scan runs on plain Python floats -- array values are hoisted
-        # out through tolist() first -- because per-element ndarray
-        # indexing would cost more than the whole batched kernel; the
-        # arithmetic is the identical IEEE sequence either way.
-        scan: list[tuple | None] = []
+        # epoch with the scalar path's own per-boundary operations.  Only
+        # this recurrence (and the shed clamp, which feeds it) is
+        # sequential, so only it runs as a Python loop, on plain floats
+        # hoisted out through tolist(): per-element ndarray indexing would
+        # cost more than the whole batched kernel.
+        sums = np.zeros((n_epoch, k))
+        scan: list[tuple[int, list[int], list[float], list[float]]] = []
         for s in range(k):
             data = per_server[s]
             if data is None:
-                scan.append(None)
                 continue
             cnt, service = data[3], data[4]
             if service.shape[1] < _SCALAR_SERVER_LIMIT:
                 # Narrow rows reduce sequentially (no pairwise split) and
                 # the pads only ever add +0.0 to a positive running sum,
                 # so the padded row sums are the exact per-row reduces.
-                sums = service.sum(axis=1).tolist()
+                sums[:, s] = service.sum(axis=1)
             else:
                 # Wide rows reduce pairwise, where the tree shape depends
                 # on the operand length: batch rows of equal request count
                 # so each row still sums exactly its own c-length slice
                 # (an axis-1 sum runs the same pairwise routine per row
                 # as the scalar kernel's 1-D reduce).
-                sums_arr = np.zeros(n_epoch)
                 for c in np.unique(cnt):
                     if c:
                         rows_c = np.flatnonzero(cnt == c)
-                        sums_arr[rows_c] = service[rows_c, :c].sum(axis=1)
-                sums = sums_arr.tolist()
-            scan.append((cnt.tolist(), data[8].tolist(), data[9].tolist(), sums))
+                        sums[rows_c, s] = service[rows_c, :c].sum(axis=1)
+            scan.append((s, cnt.tolist(), data[8].tolist(), data[9].tolist()))
         free = self._free
         free_l = free.tolist()
         free_rows: list[list[float]] = []
-        utils_rows: list[list[float]] = []
-        mean_utilization: list[float] = []
         shed_work: list[float] = []
-        backlog: list[float] = []
         max_backlog = self.max_backlog_s
         for i in range(n_epoch):
-            t0 = t0s[i]
-            t1 = t1s[i]
-            dt = t1 - t0
-            n_i = counts[i]
-            util_sum = 0.0
-            row_free: list[float] = []
-            row_utils: list[float] = []
-            for s in range(k):
-                f = free_l[s]
-                row_free.append(f)
-                lists = scan[s]
-                c = lists[0][i] if lists is not None else 0
-                if c:
-                    free_l[s] = lists[2][i] + max(f, lists[1][i])
-                if n_i != 0 and f >= t1:
-                    # Fully carried-over interval: carried == dt, so
-                    # min((dt + service_sum) / dt, 1.0) is exactly 1.0
-                    # for any non-negative service sum -- the reduce's
-                    # value cannot reach the observation.
-                    util = 1.0
-                else:
-                    carried = max(min(f, t1) - t0, 0.0)
-                    service_sum = lists[3][i] if c else 0.0
-                    if n_i == 0:
-                        util = min(carried / dt, 1.0)
-                    else:
-                        util = min((carried + service_sum) / dt, 1.0)
-                row_utils.append(util)
-                util_sum += util
-            free_rows.append(row_free)
-            utils_rows.append(row_utils)
-            mean_utilization.append(util_sum / k)
+            free_rows.append(free_l.copy())
+            for s, cnt_l, runmax_l, cum_l in scan:
+                if cnt_l[i]:
+                    free_l[s] = cum_l[i] + max(free_l[s], runmax_l[i])
             shed = 0.0
             if max_backlog is not None:
-                bound = t1 + max_backlog
+                bound = t1s[i] + max_backlog
                 for s in range(k):
                     f = free_l[s]
                     if f > bound:
                         shed += f - bound
                         free_l[s] = bound
             shed_work.append(shed)
-            total_backlog = 0.0
-            for f in free_l:
-                if f > t1:
-                    total_backlog += f - t1
-            backlog.append(total_backlog)
+        free_start = np.array(free_rows)
+        # Each interval's end state is the next one's start state.
+        free_end = np.concatenate((free_start[1:], [free_l]))
         free[:] = free_l
-        free_start = np.asarray(free_rows)
-        utils = np.asarray(utils_rows)
+
+        # Everything else in the scalar branch of run_drawn is
+        # elementwise given the free times, so it runs over the epoch as
+        # whole columns: numpy's min, max and arithmetic on float64 are
+        # the IEEE operations Python's are, and the per-server sums below
+        # accumulate column by column in server order, as sequentially as
+        # the scalar path's loops.
+        t0a = np.asarray(t0s)
+        t1a = np.asarray(t1s)
+        dta = t1a - t0a
+        carried = np.maximum(np.minimum(free_start, t1a[:, None]) - t0a[:, None], 0.0)
+        utils = np.minimum((carried + sums) / dta[:, None], 1.0)
+        util_sum = utils[:, 0].copy()
+        backlog = np.maximum(free_end[:, 0] - t1a, 0.0)
+        for s in range(1, k):
+            util_sum += utils[:, s]
+            backlog += np.maximum(free_end[:, s] - t1a, 0.0)
+        mean_utilization = util_sum / k
 
         # Completion times and sojourn latencies, batched per server with
         # the scalar kernel's remaining three elementwise passes.
@@ -676,7 +768,7 @@ class DispatchQueue:
         sizes = self.rng.geometric(1.0 / mean_batch, size=n_bursts)
         epochs = self.rng.uniform(t0, t1, size=n_bursts)
         epochs.sort()
-        times = np.repeat(epochs, sizes)
+        times = epochs.repeat(sizes)
         return int(times.size), times
 
     def _shed(self, now: float) -> float:

@@ -90,6 +90,11 @@ SCALAR_FIELDS = FLOAT_FIELDS + INT_FIELDS + BOOL_FIELDS
 #: unique values (decisions and config labels repeat across intervals).
 POOLED_FIELDS = ("decision", "config_label")
 
+#: Every column in storage order: the order of ``ObservationTable._col_seq``
+#: and of the ``c_<field>`` names ``ObservationTable.append`` unpacks it
+#: into (checked at import, see ``_check_append_unpack``).
+COLUMN_ORDER = SCALAR_FIELDS + POOLED_FIELDS
+
 
 @dataclass(frozen=True)
 class IntervalObservation:
@@ -155,6 +160,7 @@ class ObservationTable:
 
     __slots__ = (
         "_cols",
+        "_col_seq",
         "_decision_pool",
         "_decision_index",
         "_label_pool",
@@ -167,12 +173,13 @@ class ObservationTable:
     def __init__(self, capacity: int):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
-        self._cols: dict[str, np.ndarray] = {
+        cols = {
             field: np.empty(capacity, dtype=_scalar_dtype(field))
             for field in SCALAR_FIELDS
         }
         for field in POOLED_FIELDS:
-            self._cols[field] = np.empty(capacity, dtype=np.int32)
+            cols[field] = np.empty(capacity, dtype=np.int32)
+        self._set_cols(cols)
         self._decision_pool: list["Decision"] = []
         self._decision_index: dict["Decision", int] = {}
         self._label_pool: list[str] = []
@@ -221,43 +228,72 @@ class ObservationTable:
         i = self._n
         if i >= self._capacity:
             raise IndexError("ObservationTable capacity exhausted")
-        cols = self._cols
-        cols["index"][i] = index
-        cols["t_start_s"][i] = t_start_s
-        cols["duration_s"][i] = duration_s
-        cols["offered_load"][i] = offered_load
-        cols["measured_load"][i] = measured_load
-        cols["arrival_rps"][i] = arrival_rps
-        cols["n_requests"][i] = n_requests
-        cols["tail_latency_ms"][i] = tail_latency_ms
-        cols["mean_latency_ms"][i] = mean_latency_ms
-        cols["qos_met"][i] = qos_met
-        cols["tardiness"][i] = tardiness
-        cols["power_w"][i] = power_w
-        cols["energy_j"][i] = energy_j
-        cols["big_ips"][i] = big_ips
-        cols["small_ips"][i] = small_ips
-        cols["counter_garbage"][i] = counter_garbage
+        # Unpacked in COLUMN_ORDER (see _set_cols): one tuple unpack
+        # instead of a dict lookup per field.
+        (
+            c_t_start_s,
+            c_duration_s,
+            c_offered_load,
+            c_measured_load,
+            c_arrival_rps,
+            c_tail_latency_ms,
+            c_mean_latency_ms,
+            c_tardiness,
+            c_power_w,
+            c_energy_j,
+            c_big_ips,
+            c_small_ips,
+            c_big_freq_ghz,
+            c_small_freq_ghz,
+            c_mean_utilization,
+            c_backlog_s,
+            c_shed_work_s,
+            c_batch_instructions,
+            c_index,
+            c_n_requests,
+            c_migrated_cores,
+            c_qos_met,
+            c_counter_garbage,
+            c_migration_event,
+            c_decision,
+            c_config_label,
+        ) = self._col_seq
+        c_index[i] = index
+        c_t_start_s[i] = t_start_s
+        c_duration_s[i] = duration_s
+        c_offered_load[i] = offered_load
+        c_measured_load[i] = measured_load
+        c_arrival_rps[i] = arrival_rps
+        c_n_requests[i] = n_requests
+        c_tail_latency_ms[i] = tail_latency_ms
+        c_mean_latency_ms[i] = mean_latency_ms
+        c_qos_met[i] = qos_met
+        c_tardiness[i] = tardiness
+        c_power_w[i] = power_w
+        c_energy_j[i] = energy_j
+        c_big_ips[i] = big_ips
+        c_small_ips[i] = small_ips
+        c_counter_garbage[i] = counter_garbage
         code = self._decision_index.get(decision)
         if code is None:
             code = len(self._decision_pool)
             self._decision_pool.append(decision)
             self._decision_index[decision] = code
-        cols["decision"][i] = code
+        c_decision[i] = code
         code = self._label_index.get(config_label)
         if code is None:
             code = len(self._label_pool)
             self._label_pool.append(config_label)
             self._label_index[config_label] = code
-        cols["config_label"][i] = code
-        cols["big_freq_ghz"][i] = big_freq_ghz
-        cols["small_freq_ghz"][i] = small_freq_ghz
-        cols["migrated_cores"][i] = migrated_cores
-        cols["migration_event"][i] = migration_event
-        cols["mean_utilization"][i] = mean_utilization
-        cols["backlog_s"][i] = backlog_s
-        cols["shed_work_s"][i] = shed_work_s
-        cols["batch_instructions"][i] = batch_instructions
+        c_config_label[i] = code
+        c_big_freq_ghz[i] = big_freq_ghz
+        c_small_freq_ghz[i] = small_freq_ghz
+        c_migrated_cores[i] = migrated_cores
+        c_migration_event[i] = migration_event
+        c_mean_utilization[i] = mean_utilization
+        c_backlog_s[i] = backlog_s
+        c_shed_work_s[i] = shed_work_s
+        c_batch_instructions[i] = batch_instructions
         self._n = i + 1
         return i
 
@@ -340,9 +376,9 @@ class ObservationTable:
         """Trim to the appended length and make every column read-only."""
         if not self._frozen:
             if self._n != self._capacity:
-                self._cols = {
-                    name: col[: self._n].copy() for name, col in self._cols.items()
-                }
+                self._set_cols(
+                    {name: col[: self._n].copy() for name, col in self._cols.items()}
+                )
                 self._capacity = self._n
             for col in self._cols.values():
                 col.flags.writeable = False
@@ -352,6 +388,12 @@ class ObservationTable:
     # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------
+
+    def _set_cols(self, cols: dict[str, np.ndarray]) -> None:
+        """Install the column buffers, also as a tuple in
+        :data:`COLUMN_ORDER` for the per-row hot paths."""
+        self._cols = cols
+        self._col_seq = tuple(cols[field] for field in COLUMN_ORDER)
 
     def __len__(self) -> int:
         return self._n
@@ -377,11 +419,11 @@ class ObservationTable:
 
     def decision_at(self, i: int) -> "Decision":
         """The decoded decision of row ``i``."""
-        return self._decision_pool[self._cols["decision"][i]]
+        return self._decision_pool[self._cols["decision"].item(i)]
 
     def label_at(self, i: int) -> str:
         """The decoded configuration label of row ``i``."""
-        return self._label_pool[self._cols["config_label"][i]]
+        return self._label_pool[self._cols["config_label"].item(i)]
 
     def labels(self) -> tuple[str, ...]:
         """Decoded configuration labels, one per row."""
@@ -435,7 +477,7 @@ class ObservationTable:
         time-slice costs one fancy-index per column.
         """
         taken = ObservationTable(0)
-        taken._cols = {name: col[indices] for name, col in self._cols.items()}
+        taken._set_cols({name: col[indices] for name, col in self._cols.items()})
         taken._decision_pool = list(self._decision_pool)
         taken._decision_index = dict(self._decision_index)
         taken._label_pool = list(self._label_pool)
@@ -476,7 +518,7 @@ class ObservationTable:
                 f"this build reads version {STORAGE_VERSION})"
             )
         cols = state["cols"]
-        self._cols = cols
+        self._set_cols(cols)
         self._decision_pool = list(state["decision_pool"])
         self._decision_index = {d: i for i, d in enumerate(self._decision_pool)}
         self._label_pool = list(state["label_pool"])
@@ -496,10 +538,11 @@ class ObservationRowView:
     arithmetic is bit-identical to the dataclass era.
     """
 
-    __slots__ = ("_table", "_i")
+    __slots__ = ("_table", "_col_seq", "_i")
 
     def __init__(self, table: ObservationTable, i: int):
         self._table = table
+        self._col_seq = table._col_seq
         self._i = i
 
     def materialize(self) -> IntervalObservation:
@@ -511,15 +554,40 @@ class ObservationRowView:
         return f"ObservationRowView({self.materialize()!r})"
 
 
+def _check_append_unpack() -> None:
+    """Fail at import unless ``append`` unpacks ``_col_seq`` in
+    :data:`COLUMN_ORDER`.
+
+    The unpack names are written out by hand; a reordered name would
+    otherwise write every value into the wrong column without an error.
+    A function's locals are numbered in order of first use, and the
+    unpack is each ``c_<field>`` name's first use.
+    """
+    unpacked = tuple(
+        name[2:]
+        for name in ObservationTable.append.__code__.co_varnames
+        if name.startswith("c_")
+    )
+    if unpacked != COLUMN_ORDER:
+        raise AssertionError(
+            f"ObservationTable.append unpacks {unpacked}, "
+            f"expected COLUMN_ORDER {COLUMN_ORDER}"
+        )
+
+
+_check_append_unpack()
+
+
 def _add_view_accessors() -> None:
-    def scalar_property(field: str):
+    def scalar_property(k: int):
         def get(self):
-            return self._table._cols[field][self._i].item()
+            return self._col_seq[k].item(self._i)
 
         return property(get)
 
-    for field in SCALAR_FIELDS:
-        setattr(ObservationRowView, field, scalar_property(field))
+    # SCALAR_FIELDS is the prefix of COLUMN_ORDER, so k indexes _col_seq.
+    for k, field in enumerate(SCALAR_FIELDS):
+        setattr(ObservationRowView, field, scalar_property(k))
     ObservationRowView.decision = property(
         lambda self: self._table.decision_at(self._i)
     )

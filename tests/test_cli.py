@@ -6,6 +6,8 @@ the flag combinations the CLI rejects instead of silently ignoring.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main, render_stats
@@ -163,6 +165,7 @@ class TestBenchSubcommand:
                 reference_ips=1000.0,
                 optimized_ips=3456.0,
                 speedup=3.46,
+                ratio_iqr=0.12,
             )
 
         def fake_measure_epoch_point(name, arrivals, **kwargs):
@@ -172,6 +175,7 @@ class TestBenchSubcommand:
                 reference_ips=10_000.0,
                 optimized_ips=31_000.0,
                 speedup=3.10,
+                ratio_iqr=0.2,
             )
 
         monkeypatch.setattr(bench_mod, "measure_point", fake_measure_point)
@@ -185,7 +189,9 @@ class TestBenchSubcommand:
         assert len(report["points"]) == len(bench_mod.BENCH_POINTS) + len(
             bench_mod.EPOCH_POINTS
         )
-        assert "3.46x" in capsys.readouterr().out
+        assert report["environment"]["nproc"] >= 1
+        assert report["points"]["epoch/steady/arrivals=1000"]["ratio_iqr"] == 0.2
+        assert "3.46x, IQR 0.12" in capsys.readouterr().out
 
     def test_bench_batch_writes_report(self, tmp_path, monkeypatch, capsys):
         """`bench-batch` measures, renders and writes the batch report."""
@@ -266,6 +272,29 @@ class TestPackSubcommand:
         err = error_message(capsys)
         assert "scenarios[0]" in err
         assert "did you mean 'edge-load'" in err
+
+    @pytest.mark.parametrize("action", ["validate", "run"])
+    def test_fleet_wipeout_is_a_one_line_entry_error(
+        self, action, tmp_path, capsys
+    ):
+        """A fault schedule that kills every node at some interval fails
+        both validate and run with the entry named, never a traceback."""
+        import yaml
+
+        data = yaml.safe_load(
+            (Path(__file__).parent.parent / "packs" / "rack-outage.yaml").read_text()
+        )
+        data["scenarios"][0]["fleet"]["seed"] = 2
+        file = tmp_path / "wipeout.yaml"
+        file.write_text(yaml.safe_dump(data))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pack", action, str(file), "--quick"])
+        assert excinfo.value.code == 2
+        err = error_message(capsys)
+        assert "Traceback" not in err
+        last = err.strip().splitlines()[-1]
+        assert "rack-outage:rack-outage#r1" in last
+        assert "kills every node" in last
 
     def test_validate_ok(self, tmp_path, capsys):
         file = self.write_pack(tmp_path)

@@ -32,6 +32,7 @@ from repro.fleet import (
     split_with_timeline,
     timeline_multipliers,
 )
+from repro.errors import FaultScheduleError
 from repro.fleet.balancer import build_balancer
 from repro.scenarios.spec import TraceSpec
 from repro.sim.batch import BatchRunner, DiskCache
@@ -466,7 +467,7 @@ class TestTimelineSplit:
             )
             for node in range(2)
         )
-        with pytest.raises(ValueError, match="kills every node"):
+        with pytest.raises(FaultScheduleError, match="kills every node"):
             split_with_timeline(loads, np.ones(2), balancer, events)
 
     def test_resilient_fleet_runs_serial_equals_jobs4(self):
@@ -551,6 +552,9 @@ class TestSpecPlumbing:
                                 "level": 0.5,
                                 "duration_s": 60,
                             },
+                            # Seed 1 fells one rack; the default seed
+                            # fells both, which validation rejects.
+                            "seed": 1,
                             "faults": [
                                 {
                                     "kind": "rack-death",
@@ -567,6 +571,7 @@ class TestSpecPlumbing:
         pack.validate_buildable()
         (item,) = pack.items
         assert item.spec.uses_resilience()
+        assert len(item.spec.fault_schedule()) == 2
 
 
 # ----------------------------------------------------------------------
