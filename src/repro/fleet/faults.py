@@ -121,8 +121,8 @@ FAULT_KINDS: dict[str, tuple[str, ...]] = {
 }
 
 #: The clause kinds the resilience layer introduced; a spec using any of
-#: them (or ``detection_s`` / ``repair_s`` on a legacy kind) expands
-#: through the detection/recovery timeline instead of the legacy split.
+#: them (or ``detection_s`` / ``repair_s`` on a legacy kind) fingerprints
+#: at fleet schema version 3 and gets a resilience report.
 CORRELATED_KINDS = frozenset({"rack-death", "cascading-straggler", "brownout-wave"})
 
 
@@ -265,7 +265,7 @@ class FaultEvent:
     ``multiplier`` is 0.0 for a death, the capacity factor otherwise;
     the window is half-open ``[start_interval, end_interval)``.
     ``detect_interval`` is when the failure detector notices (``None``
-    means instantly, the legacy behaviour) -- physically the fault
+    means instantly) -- physically the fault
     holds from ``start_interval``, but the balancer only reacts from
     ``detect_interval`` on.  Repair (``end_interval`` before the run
     ends) is assumed observed immediately.
@@ -541,26 +541,11 @@ def _lower_brownout(
             )
 
 
-def capacity_multipliers(
-    events: tuple[FaultEvent, ...], *, n_nodes: int, n_intervals: int
-) -> np.ndarray:
-    """The ``(n_intervals, n_nodes)`` effective-capacity multiplier
-    matrix the events compose to (overlapping events multiply; any
-    death wins)."""
-    matrix = np.ones((n_intervals, n_nodes))
-    for event in events:
-        matrix[event.start_interval : event.end_interval, event.node] *= (
-            event.multiplier
-        )
-    return matrix
-
-
 __all__ = [
     "CORRELATED_KINDS",
     "FAULT_KINDS",
     "FaultClause",
     "FaultEvent",
-    "capacity_multipliers",
     "freeze_clauses",
     "lower_faults",
 ]

@@ -1,17 +1,18 @@
 """Detection/recovery timelines and the blast-radius report.
 
-The legacy fault split (:func:`repro.fleet.spec._split_with_faults`)
-redistributes load the instant a node's capacity multiplier changes --
-the balancer is omniscient.  Real failure detectors lag: between onset
-and detection the balancer keeps routing to a dead or degraded node,
-and the surviving nodes only absorb the spill once the detector fires.
-This module models that lag with **two** capacity-multiplier matrices:
+Every faulted fleet splits its load here.  Real failure detectors lag:
+between onset and detection the balancer keeps routing to a dead or
+degraded node, and the surviving nodes only absorb the spill once the
+detector fires.  This module models that lag with **two**
+capacity-multiplier matrices:
 
 * *physical* -- what the hardware actually does; a fault applies from
   its ``start_interval``.
 * *known* -- what the balancer believes; a fault only applies from its
   ``detect_interval`` (repair is assumed observed immediately, so
-  known-dead is always a subset of physically-dead).
+  known-dead is always a subset of physically-dead).  A fault without
+  a detection lag is known from its onset, so both matrices agree and
+  the balancer redistributes the instant capacity changes.
 
 :func:`split_with_timeline` segments the run wherever either matrix
 changes, re-runs the fleet's balancer per segment over the *known*
@@ -37,12 +38,8 @@ from typing import Any
 import numpy as np
 
 from repro.errors import FaultScheduleError
+from repro.fleet.balancer import MAX_NODE_LEVEL
 from repro.fleet.faults import FaultEvent
-
-#: Per-node offered-load ceiling shared with the legacy fault split: a
-#: survivor can be asked for at most 1.5x its capacity; demand beyond
-#: that is dropped (the fleet is simply over capacity).
-MAX_NODE_LEVEL = 1.5
 
 
 def timeline_multipliers(
@@ -82,10 +79,11 @@ def split_with_timeline(
        across the physically-alive ones (capacity-blind failover),
     3. inflates what lands on physically-degraded nodes by the inverse
        multiplier (their service times stretch), capped at
-       :data:`MAX_NODE_LEVEL`.
+       :data:`~repro.fleet.balancer.MAX_NODE_LEVEL` (demand beyond that
+       is dropped: the fleet is simply over capacity).
 
-    Raises ``ValueError`` if any segment leaves no node physically
-    alive.
+    Raises :class:`~repro.errors.FaultScheduleError` (a ``ValueError``)
+    if any segment leaves no node physically alive.
     """
     n_intervals, n_nodes = (len(fleet_loads), len(capacities))
     physical, known = timeline_multipliers(
@@ -296,7 +294,6 @@ def build_resilience_report(
 
 
 __all__ = [
-    "MAX_NODE_LEVEL",
     "ResilienceReport",
     "build_resilience_report",
     "split_with_timeline",

@@ -22,16 +22,11 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.errors import FaultScheduleError, UnknownNameError
-from repro.fleet.balancer import (
-    BALANCER_FACTORIES,
-    MAX_NODE_LEVEL,
-    build_balancer,
-)
+from repro.errors import UnknownNameError
+from repro.fleet.balancer import BALANCER_FACTORIES, build_balancer
 from repro.fleet.faults import (
     FaultClause,
     FaultEvent,
-    capacity_multipliers,
     freeze_clauses,
     lower_faults,
 )
@@ -311,7 +306,9 @@ class FleetSpec:
 
         True when a topology is declared, a correlated fault kind is
         used, or any clause carries ``detection_s`` / ``repair_s``.
-        Everything else expands through the legacy paths byte-for-byte.
+        Everything else keeps the version-2 fingerprint payload and gets
+        no resilience report.  Faulted fleets split through
+        :func:`~repro.fleet.resilience.split_with_timeline` either way.
         """
         if self.topology:
             return True
@@ -342,14 +339,6 @@ class FleetSpec:
             racks=self.rack_blocks(),
         )
 
-    def fault_multipliers(self) -> np.ndarray:
-        """Per-interval, per-node effective-capacity multipliers."""
-        return capacity_multipliers(
-            self.fault_schedule(),
-            n_nodes=self.n_nodes,
-            n_intervals=len(self.fleet_loads()),
-        )
-
     def node_specs(self) -> tuple[ScenarioSpec, ...]:
         """Expand into one :class:`ScenarioSpec` per node.
 
@@ -373,12 +362,10 @@ class FleetSpec:
         capacities = self.node_capacities()
         balancer = build_balancer(self.balancer, self.balancer_params)
         events = self.fault_schedule()
-        if events and self.uses_resilience():
+        if events:
             return split_with_timeline(
                 self.fleet_loads(), capacities, balancer, events
             )
-        if events:
-            return self._split_with_faults(balancer, capacities, events)
         # The pre-fault path, untouched: faultless fleets expand to
         # byte-identical node specs (and cached node outcomes).
         return balancer.split(self.fleet_loads(), capacities)
@@ -428,53 +415,6 @@ class FleetSpec:
                 )
             )
         return tuple(specs)
-
-    def _split_with_faults(
-        self, balancer, capacities: np.ndarray, events: tuple[FaultEvent, ...]
-    ) -> np.ndarray:
-        """Balancer split under a fault schedule.
-
-        Balancers are row-pure (each interval splits independently), so
-        the trace is segmented at fault boundaries and each segment is
-        split over its *live* nodes with their effective capacities:
-        dead nodes are excluded and the survivors absorb the whole
-        fleet load; degraded/straggling nodes keep receiving work
-        according to their reduced capacity, and what they receive is
-        then inflated by the slowdown (utilization rises by
-        ``1/factor``), capped at the per-node validity bound.
-        """
-        fleet_loads = self.fleet_loads()
-        n_intervals = len(fleet_loads)
-        multipliers = capacity_multipliers(
-            events, n_nodes=self.n_nodes, n_intervals=n_intervals
-        )
-        levels = np.zeros((n_intervals, self.n_nodes))
-        # Segment boundaries: intervals where any node's multiplier flips.
-        changes = np.flatnonzero(
-            (np.diff(multipliers, axis=0) != 0.0).any(axis=1)
-        )
-        starts = np.concatenate(([0], changes + 1))
-        ends = np.concatenate((changes + 1, [n_intervals]))
-        for start, end in zip(starts, ends):
-            row = multipliers[start]
-            alive = np.flatnonzero(row > 0.0)
-            if not len(alive):
-                raise FaultScheduleError(
-                    "fault schedule kills every node "
-                    f"(intervals {start}-{end}); nothing can serve the load"
-                )
-            # The same total offered load (fleet fraction x n_nodes
-            # nominal boards) is re-expressed as a fraction of the
-            # surviving sub-fleet's nominal capacity.
-            sub_loads = fleet_loads[start:end] * (self.n_nodes / len(alive))
-            effective = capacities[alive] * row[alive]
-            split = balancer.split(sub_loads, effective)
-            # Slowdown inflation: a node at capacity factor m serves its
-            # assignment at 1/m the speed, so its offered level (fraction
-            # of its *nominal* maximum) rises accordingly.
-            split = np.minimum(split / row[alive][None, :], MAX_NODE_LEVEL)
-            levels[start:end, alive] = split
-        return levels
 
     # ------------------------------------------------------------------
     # execution

@@ -29,15 +29,16 @@ persistent-pool execution are byte-identical.
 
 Cache layout
 ------------
-``cache_dir`` holds one ``<fingerprint>.pkl`` per outcome (written
-atomically via ``os.replace``, so concurrent runners can share a
-directory) plus a single append-only ``manifest.pack``.  The pack holds
-``<key> <size>\\n<payload>`` records appended under an exclusive
-``flock``; warm starts index it with one sequential scan instead of a
-per-key ``open``/``stat`` storm, and a truncated tail (crashed writer)
-is simply ignored.  Since the columnar storage overhaul a payload is a
-pickled :class:`~repro.scenarios.spec.ScenarioOutcome` whose result is
-a struct-of-arrays :class:`~repro.sim.records.ObservationTable` -- a
+``cache_dir`` holds one append-only log, ``manifest.pack``, of
+``<key> <size> <crc32>\\n<payload>`` records appended under an
+exclusive ``flock``; a warm start indexes it with one sequential scan.
+A writer that dies mid-append leaves a torn tail, and the log heals
+itself: the next appender, holding the lock, truncates it to the end of
+its last valid record before writing, so a crash costs at most the
+records after the torn point, each recomputed once.  Since the columnar
+storage overhaul a payload is a pickled
+:class:`~repro.scenarios.spec.ScenarioOutcome` whose result is a
+struct-of-arrays :class:`~repro.sim.records.ObservationTable` -- a
 couple dozen numpy buffers per run instead of thousands of per-interval
 dataclass objects, which is what made warm starts unpickle-bound.
 Legacy (pre-columnar) payloads fail their storage-version check on
@@ -66,15 +67,15 @@ its chunk-mates' results are recovered; a hung chunk trips a watchdog
 deadline derived from :func:`estimate_cost` and ends in
 :class:`~repro.errors.SpecTimeoutError` instead of blocking forever;
 and a pool that keeps dying degrades to in-process serial execution.
-Corrupt cache entries are moved to ``<cache-dir>/quarantine/`` (with a
-one-line stderr warning) instead of being deleted, so a bad disk or a
-chaos run leaves evidence behind; the quarantine itself is bounded
-(256 MiB / 256 entries by default, oldest evicted first) so the
-evidence locker cannot grow without limit.  Completed fingerprints can
-be journaled (:class:`~repro.sim.supervise.RunJournal`) for crash-safe
-``--resume``.  None of this can change results: every spec is a pure
-function of itself, so retried, resumed and fault-free runs are
-byte-identical.
+A corrupt cache record (failed CRC or unpickle) is a miss whose bytes
+are copied to ``<cache-dir>/quarantine/`` (with a one-line stderr
+warning), so a bad disk or a chaos run leaves evidence behind; the
+quarantine itself is bounded (256 MiB / 256 entries by default, oldest
+evicted first) so the evidence locker cannot grow without limit.
+Completed fingerprints can be journaled
+(:class:`~repro.sim.supervise.RunJournal`) for crash-safe ``--resume``.
+None of this can change results: every spec is a pure function of
+itself, so retried, resumed and fault-free runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -102,10 +103,13 @@ except ImportError:  # pragma: no cover
 if TYPE_CHECKING:  # pragma: no cover - break the sim <-> scenarios cycle
     from repro.scenarios.spec import ScenarioOutcome, ScenarioSpec
 
-#: Name of the append-only manifest inside a cache directory.
+#: Name of the append-only manifest inside a cache directory.  Any change
+#: to the record header must also rename this file: an appender cuts off
+#: whatever it cannot parse as a torn tail, so checkouts of different
+#: formats sharing a cache directory would truncate each other's records.
 MANIFEST_NAME = "manifest.pack"
 
-#: Subdirectory corrupt cache entries are moved to: evidence for
+#: Subdirectory corrupt manifest records are copied to: evidence for
 #: post-mortems, out of the lookup path.
 QUARANTINE_DIR = "quarantine"
 
@@ -115,13 +119,6 @@ QUARANTINE_DIR = "quarantine"
 #: Oldest entries are evicted first once either bound is crossed.
 QUARANTINE_MAX_BYTES = 256 * 2**20
 QUARANTINE_MAX_ENTRIES = 256
-
-#: Magic of checksummed per-key entries: ``reproblob1 <crc32>\n`` then
-#: the pickled payload.  Bit rot that still unpickles cleanly (4 bytes
-#: flipped inside a float) would otherwise serve silently wrong
-#: results; the CRC turns it into a detected, quarantined miss.
-#: Entries without the magic (pre-checksum caches) load unverified.
-ENTRY_MAGIC = b"reproblob1"
 
 #: Versioned cache keys look like ``s<schema>-<kernel>-<hash>`` (see
 #: ``repro.scenarios.spec.cache_key_prefix``); the schema number orders
@@ -319,20 +316,30 @@ def plan_chunks(
 
 
 class DiskCache:
-    """The on-disk outcome tier: per-key pickles plus the manifest pack.
+    """The on-disk outcome tier: one append-only, checksummed log.
 
-    Shared-directory safe: per-key files are written atomically
-    (``os.replace``) and pack appends happen under an exclusive
-    ``flock``.  :meth:`close` opportunistically compacts the pack --
-    dead bytes accumulate because the pack is append-only, so re-stored
-    keys (racing appenders duplicating work) and fingerprint-version
-    bumps strand superseded records in it forever otherwise.
+    ``manifest.pack`` holds ``<key> <size> <crc32>\\n<payload>`` records,
+    indexed in memory by one sequential scan (later records win).
+    Appends happen under an exclusive ``flock``, and a writer always
+    finishes its records before it unlocks, so a tail that fails to
+    parse while the lock is held can only come from a writer that died:
+    the appender truncates the pack to the end of its last valid record
+    before it writes, and the log heals itself.  The index remembers
+    that end offset and the pack's inode, so an append scans only the
+    bytes other writers added since, and rescans from the start only
+    after a compaction swapped the file.
+
+    :meth:`close` opportunistically compacts the pack -- dead bytes
+    accumulate because the pack is append-only, so re-stored keys
+    (racing appenders duplicating work) and fingerprint-version bumps
+    strand superseded records in it forever otherwise.
 
     Compaction coexists with racing appenders through an inode check:
     every writer takes the pack lock and then verifies its file handle
     still names ``manifest.pack`` (compaction swaps the inode via
     ``os.replace``), reopening if not, so no append can land in an
-    orphaned pack.
+    orphaned pack.  Without ``fcntl`` (non-POSIX) there is no lock, and
+    the pack assumes one writer at a time.
     """
 
     def __init__(
@@ -348,15 +355,15 @@ class DiskCache:
         self.cache_dir = Path(cache_dir)
         #: Keys of the current cache-format generation start with this
         #: (see ``repro.scenarios.spec.cache_key_prefix``).  When set,
-        #: close-time maintenance reclaims *retired*-generation records
-        #: -- they are the latest record for their old key, so the
-        #: latest-wins index alone would keep them alive forever.
-        #: Retired means provably older: a key with no versioned prefix
-        #: at all (the pre-columnar era) or a strictly lower schema
-        #: number; keys of an equal-or-newer schema (e.g. a newer
-        #: checkout sharing the directory, or a same-schema kernel
-        #: variant whose ordering is unknowable) are left alone.
-        #: ``None`` compacts duplicates only.
+        #: compaction reclaims *retired*-generation records -- they are
+        #: the latest record for their old key, so the latest-wins index
+        #: alone would keep them alive forever.  Retired means provably
+        #: older: a key with no versioned prefix at all (the
+        #: pre-columnar era) or a strictly lower schema number; keys of
+        #: an equal-or-newer schema (e.g. a newer checkout sharing the
+        #: directory, or a same-schema kernel variant whose ordering is
+        #: unknowable) are left alone.  ``None`` compacts duplicates
+        #: only.
         self.live_prefix = live_prefix
         match = _GENERATION_RE.match(live_prefix) if live_prefix else None
         self._live_schema = int(match.group(1)) if match else None
@@ -365,49 +372,26 @@ class DiskCache:
         self.quarantine_max_bytes = quarantine_max_bytes
         self.quarantine_max_entries = quarantine_max_entries
         self.compactions = 0
-        self.stranded_files_removed = 0
         self.corrupt_entries = 0
         self.quarantine_evictions = 0
-        self._pack_index: dict[str, tuple[int, int]] | None = None
+        #: key -> (payload offset, size, crc32) of the pack's records.
+        self._pack_index: dict[str, tuple[int, int, int]] | None = None
+        #: End of the last valid record the index covers, and the inode
+        #: of the pack it was scanned from.
+        self._pack_end = 0
+        self._pack_ino: int | None = None
         self._pack_read_fh: BinaryIO | None = None
 
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
-        """Run the maintenance pass and drop the long-lived read handle
-        (idempotent): compact the pack if it crossed the dead-bytes
-        threshold, and sweep per-key pickles stranded by a cache-format
-        version bump (their retired keys are never looked up again, so
-        the delete-corrupt-on-detection path can never reclaim them)."""
+        """Compact the pack if it crossed the dead-bytes threshold and
+        drop the long-lived read handle (idempotent)."""
         try:
             self._maybe_compact()
         except OSError:  # pragma: no cover - best-effort maintenance
             pass
-        self._sweep_stranded_entries()
         self._drop_read_state()
-
-    def _sweep_stranded_entries(self) -> None:
-        """Delete per-key pickles of retired cache-format generations.
-
-        Only meaningful with a ``live_prefix``; anything suffixed
-        ``.pkl`` whose stem is not of the current generation is a
-        cache entry no current key can ever name (compaction's pack
-        counterpart of the same reclamation).
-        """
-        if self.live_prefix is None:
-            return
-        try:
-            entries = list(self.cache_dir.iterdir())
-        except OSError:  # pragma: no cover - vanished cache dir
-            return
-        for path in entries:
-            if path.suffix != ".pkl" or not self._key_is_reclaimable(path.stem):
-                continue
-            try:
-                path.unlink()
-                self.stranded_files_removed += 1
-            except OSError:  # pragma: no cover - racing delete
-                pass
 
     def _drop_read_state(self) -> None:
         fh, self._pack_read_fh = self._pack_read_fh, None
@@ -420,10 +404,6 @@ class DiskCache:
 
     # -- paths ----------------------------------------------------------
 
-    def entry_path(self, key: str) -> Path:
-        """The per-key pickle path for a fingerprint."""
-        return self.cache_dir / f"{key}.pkl"
-
     @property
     def manifest_path(self) -> Path:
         """The append-only manifest pack path."""
@@ -431,32 +411,12 @@ class DiskCache:
 
     @property
     def quarantine_path(self) -> Path:
-        """Where corrupt entries are moved (``<cache-dir>/quarantine``)."""
+        """Where corrupt records are copied (``<cache-dir>/quarantine``)."""
         return self.cache_dir / QUARANTINE_DIR
 
     # -- quarantine -----------------------------------------------------
 
-    def _quarantine_file(self, path: Path) -> None:
-        """Move a corrupt per-key pickle out of the lookup path."""
-        target = self.quarantine_path / path.name
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target)
-        except OSError:  # racing delete/unwritable dir: drop instead
-            try:
-                path.unlink()
-            except OSError:
-                return
-        self.corrupt_entries += 1
-        print(
-            f"[cache] quarantined corrupt entry {path.name} -> {target}",
-            file=sys.stderr,
-        )
-        self._bound_quarantine()
-
-    def _quarantine_record(
-        self, key: str, entry: tuple[int, int, int | None]
-    ) -> None:
+    def _quarantine_record(self, key: str, entry: tuple[int, int, int]) -> None:
         """Preserve a corrupt manifest record's bytes for post-mortems.
 
         The pack record itself cannot be excised in place (the pack is
@@ -511,93 +471,7 @@ class DiskCache:
     # -- loads ----------------------------------------------------------
 
     def load(self, key: str) -> "ScenarioOutcome | None":
-        """The cached outcome for a key, or ``None`` (pack tier first)."""
-        outcome = self._pack_load(key)
-        if outcome is None:
-            outcome = self._file_load(key)
-        return outcome
-
-    def _file_load(self, key: str) -> "ScenarioOutcome | None":
-        """The per-key tier; a corrupt entry is quarantined on detection
-        so it is never re-parsed on the next warm start (and the bytes
-        survive for post-mortems).
-
-        Checksummed entries (:data:`ENTRY_MAGIC` header) fail the CRC on
-        *any* byte damage -- including bit rot that would still unpickle
-        -- while headerless pre-checksum entries keep loading unverified.
-        """
-        from repro.scenarios.spec import ScenarioOutcome
-
-        path = self.entry_path(key)
-        try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            return None
-        try:
-            if raw.startswith(ENTRY_MAGIC):
-                header, _, payload = raw.partition(b"\n")
-                crc = int(header.split()[1])
-                if zlib.crc32(payload) != crc:
-                    raise ValueError(f"CRC mismatch in {path.name}")
-            else:
-                payload = raw  # pre-checksum entry: unverified
-            outcome = pickle.loads(payload)
-        except Exception:  # corrupt/stale entry: quarantine
-            self._quarantine_file(path)
-            return None
-        return outcome if isinstance(outcome, ScenarioOutcome) else None
-
-    # -- manifest pack --------------------------------------------------
-
-    @staticmethod
-    def _scan_pack(fh: BinaryIO) -> dict[str, tuple[int, int, int | None]]:
-        """Scan an open pack: key -> (payload offset, size, crc32).
-
-        Later records win (the pack is append-only); a malformed or
-        truncated tail ends the scan -- everything before it stays
-        usable, which is exactly what a crashed writer leaves behind.
-        Record headers are ``key size crc32`` (checksummed) or the
-        pre-checksum ``key size`` (``crc32`` then ``None``: such
-        records load unverified, exactly as they always did).
-        """
-        index: dict[str, tuple[int, int, int | None]] = {}
-        file_size = os.fstat(fh.fileno()).st_size
-        fh.seek(0)
-        while True:
-            header = fh.readline()
-            if not header:
-                break
-            try:
-                key_bytes, size_bytes, *crc_bytes = header.split()
-                size = int(size_bytes)
-                crc = int(crc_bytes[0]) if crc_bytes else None
-                if len(crc_bytes) > 1:
-                    raise ValueError(header)
-            except ValueError:
-                break
-            offset = fh.tell()
-            if size < 0 or offset + size > file_size:
-                break
-            index[key_bytes.decode("ascii", "replace")] = (offset, size, crc)
-            fh.seek(offset + size)
-        return index
-
-    def _load_pack_index(self) -> dict[str, tuple[int, int, int | None]]:
-        """The cached pack index, scanning the manifest once if needed."""
-        if self._pack_index is not None:
-            return self._pack_index
-        try:
-            with self.manifest_path.open("rb") as fh:
-                index = self._scan_pack(fh)
-        except OSError:
-            index = {}
-        self._pack_index = index
-        return index
-
-    def _pack_load(self, key: str) -> "ScenarioOutcome | None":
-        """A key's outcome from the pack, stale-index safe.
+        """The cached outcome for a key, or ``None``; stale-index safe.
 
         Compaction (possibly by *another* process) moves payload
         offsets, so a cached index may be stale.  A stale offset
@@ -620,15 +494,85 @@ class DiskCache:
                 self._drop_read_state()
             else:
                 # Still bad against a fresh scan: genuinely corrupt.
-                # Quarantine the record bytes, evict just this key
-                # (keeping the rebuilt index) and let the per-key tier
-                # answer; compaction reclaims the dead pack bytes.
+                # Quarantine the record bytes and evict just this key
+                # (keeping the rebuilt index): a miss, recomputed and
+                # re-appended; compaction reclaims the dead pack bytes.
                 self._quarantine_record(key, entry)
                 index.pop(key, None)
         return None
 
+    # -- manifest pack --------------------------------------------------
+
+    @staticmethod
+    def _scan_pack(
+        fh: BinaryIO,
+        index: dict[str, tuple[int, int, int]],
+        start: int,
+        file_size: int,
+    ) -> int:
+        """Index an open pack's records from ``start`` on; return the end
+        offset of the last valid record.
+
+        Later records win (the pack is append-only).  The first header
+        that is not ``<ascii key> <size> <crc32>\\n``, or whose payload
+        runs past ``file_size``, ends the scan: everything from there on
+        is a torn or malformed tail.
+        """
+        end = start
+        fh.seek(start)
+        while True:
+            # Headers are ~60 bytes; the bound keeps a tail of garbage
+            # from being read whole as one "line".
+            header = fh.readline(256)
+            try:
+                key_bytes, size_bytes, crc_bytes = header.split()
+                key = key_bytes.decode("ascii")
+                size, crc = int(size_bytes), int(crc_bytes)
+            except ValueError:
+                return end
+            offset = fh.tell()
+            if not header.endswith(b"\n") or size < 0 or offset + size > file_size:
+                return end
+            index[key] = (offset, size, crc)
+            end = offset + size
+            fh.seek(end)
+
+    def _sync_index(self, fh: BinaryIO) -> tuple[dict[str, tuple[int, int, int]], int]:
+        """Bring the cached index up to date with an open pack; return
+        it with the pack's size.
+
+        Only bytes past the indexed end are scanned; the index is rebuilt
+        from the start when the handle names another inode (a compaction
+        swapped the file) or the pack shrank below the indexed end.
+        """
+        stat = os.fstat(fh.fileno())
+        index = self._pack_index
+        if (
+            index is None
+            or stat.st_ino != self._pack_ino
+            or stat.st_size < self._pack_end
+        ):
+            self._drop_read_state()  # offsets into another file
+            index, self._pack_end, self._pack_ino = {}, 0, stat.st_ino
+            self._pack_index = index
+        if stat.st_size > self._pack_end:
+            self._pack_end = self._scan_pack(fh, index, self._pack_end, stat.st_size)
+        return index, stat.st_size
+
+    def _load_pack_index(self) -> dict[str, tuple[int, int, int]]:
+        """The cached pack index, scanning the manifest once if needed."""
+        index = self._pack_index
+        if index is None:
+            try:
+                with self.manifest_path.open("rb") as fh:
+                    index, _ = self._sync_index(fh)
+            except OSError:
+                index, self._pack_end, self._pack_ino = {}, 0, None
+                self._pack_index = index
+        return index
+
     def _read_pack_entry(
-        self, key: str, entry: tuple[int, int, int | None]
+        self, key: str, entry: tuple[int, int, int]
     ) -> "ScenarioOutcome | None":
         from repro.scenarios.spec import ScenarioOutcome
 
@@ -640,10 +584,10 @@ class DiskCache:
                 self._pack_read_fh = self.manifest_path.open("rb")
             self._pack_read_fh.seek(offset)
             payload = self._pack_read_fh.read(size)
-            if crc is not None and zlib.crc32(payload) != crc:
+            if zlib.crc32(payload) != crc:
                 return None  # bit rot: detected even if it unpickles
             outcome = pickle.loads(payload)
-        except Exception:  # corrupt record: fall through to other tiers
+        except Exception:  # corrupt record or legacy payload: a miss
             fh, self._pack_read_fh = self._pack_read_fh, None
             if fh is not None:
                 try:
@@ -660,11 +604,13 @@ class DiskCache:
             return None
         return outcome
 
-    def _open_pack_locked(self, mode: str) -> BinaryIO:
-        """Open the manifest and take the exclusive lock, re-opening if
-        a concurrent compaction swapped the inode in between."""
+    def _open_pack_locked(self) -> BinaryIO:
+        """Open (creating) the manifest read-write under the exclusive
+        lock, re-opening if a concurrent compaction swapped the inode in
+        between."""
         while True:
-            fh = self.manifest_path.open(mode)
+            fd = os.open(self.manifest_path, os.O_RDWR | os.O_CREAT, 0o666)
+            fh = os.fdopen(fd, "r+b")
             if fcntl is None:  # pragma: no cover - non-POSIX fallback
                 return fh
             try:
@@ -692,62 +638,45 @@ class DiskCache:
     # -- stores ---------------------------------------------------------
 
     def store_many(self, payloads: Sequence[tuple[str, bytes]]) -> None:
-        """Persist pickled outcomes: per-key files plus pack appends."""
-        for key, payload in payloads:
-            self._file_store(key, payload)
-        self._pack_append_many(payloads)
+        """Append pickled outcomes to the pack under one exclusive lock.
 
-    def _file_store(self, key: str, payload: bytes) -> None:
-        path = self.entry_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic write: a crashed/parallel writer must never leave a
-        # truncated pickle behind for a later run to trip over.
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(ENTRY_MAGIC + b" %d\n" % zlib.crc32(payload))
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def _pack_append_many(self, payloads: Sequence[tuple[str, bytes]]) -> None:
-        """Append records to the manifest under one exclusive lock."""
+        A tail past the last valid record is a dead writer's (a live one
+        finishes before it unlocks), so it is cut off before writing: a
+        crash costs at most the records after its torn point, each
+        recomputed once.
+        """
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        index = self._load_pack_index()
         try:
-            fh = self._open_pack_locked("ab")
+            fh = self._open_pack_locked()
             try:
-                fh.seek(0, os.SEEK_END)
+                index, size = self._sync_index(fh)
+                if size > self._pack_end:
+                    fh.truncate(self._pack_end)
+                fh.seek(self._pack_end)
                 for key, payload in payloads:
                     crc = zlib.crc32(payload)
-                    fh.write(
-                        f"{key} {len(payload)} {crc}\n".encode("ascii")
-                    )
-                    offset = fh.tell()
+                    fh.write(f"{key} {len(payload)} {crc}\n".encode("ascii"))
+                    index[key] = (fh.tell(), len(payload), crc)
                     fh.write(payload)
-                    index[key] = (offset, len(payload), crc)
                 fh.flush()
+                self._pack_end = fh.tell()
             finally:
                 self._unlock(fh)
                 fh.close()
         except OSError:
-            # The per-key tier already holds every outcome; losing the
-            # manifest only costs the next warm start some opens.
+            # The outcomes stay in the memory tier; a torn tail left by
+            # a failed write is cut off by the next append.
             self._pack_index = None
 
     # -- compaction -----------------------------------------------------
 
     def dead_pack_bytes(self) -> tuple[int, int]:
         """``(dead_bytes, file_size)`` of the pack right now."""
+        index: dict[str, tuple[int, int, int]] = {}
         try:
             with self.manifest_path.open("rb") as fh:
-                index = self._scan_pack(fh)
                 file_size = os.fstat(fh.fileno()).st_size
+                self._scan_pack(fh, index, 0, file_size)
         except OSError:
             return 0, 0
         return file_size - self._live_bytes(index), file_size
@@ -770,16 +699,9 @@ class DiskCache:
             return True  # pre-versioned (v1-era) key
         return int(match.group(1)) < self._live_schema
 
-    def _live_bytes(
-        self, index: dict[str, tuple[int, int, int | None]]
-    ) -> int:
+    def _live_bytes(self, index: dict[str, tuple[int, int, int]]) -> int:
         return sum(
-            len(
-                f"{key} {size}\n"
-                if crc is None
-                else f"{key} {size} {crc}\n"
-            )
-            + size
+            len(f"{key} {size} {crc}\n") + size
             for key, (_, size, crc) in index.items()
             if not self._key_is_reclaimable(key)
         )
@@ -791,26 +713,24 @@ class DiskCache:
         this or a racing runner), records stranded by a fingerprint
         version bump (foreign ``live_prefix`` -- still the latest for
         their retired key, but unreachable by any current lookup), and
-        any malformed tail.  The rewrite happens to a temp file that
-        atomically replaces the pack while the exclusive lock is held;
-        the index is re-scanned *under the lock* so records appended by
-        a racing runner since our last read are preserved.
+        any torn or malformed tail.  The rewrite happens to a temp file
+        that atomically replaces the pack while the exclusive lock is
+        held; the index is brought up to date *under the lock* so
+        records appended by a racing runner since our last read are
+        preserved.
         """
         if not self.manifest_path.exists():
             return
-        fh = self._open_pack_locked("rb")
+        fh = self._open_pack_locked()
         try:
-            index = self._scan_pack(fh)
-            file_size = os.fstat(fh.fileno()).st_size
+            index, file_size = self._sync_index(fh)
             dead = file_size - self._live_bytes(index)
             if dead < self.compact_min_dead_bytes or dead < (
                 self.compact_dead_fraction * file_size
             ):
-                self._pack_index = index
                 return
             fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
             try:
-                new_index: dict[str, tuple[int, int, int | None]] = {}
                 with os.fdopen(fd, "wb") as out:
                     # Live records in offset order: stable and seek-free.
                     for key, (offset, size, crc) in sorted(
@@ -820,11 +740,7 @@ class DiskCache:
                             continue  # version-stranded: reclaim
                         fh.seek(offset)
                         payload = fh.read(size)
-                        # Pre-checksum records gain a CRC on the way
-                        # through (the rewrite reads the bytes anyway).
-                        crc = zlib.crc32(payload) if crc is None else crc
                         out.write(f"{key} {size} {crc}\n".encode("ascii"))
-                        new_index[key] = (out.tell(), size, crc)
                         out.write(payload)
                     out.flush()
                     os.fsync(out.fileno())
@@ -836,9 +752,7 @@ class DiskCache:
                     pass
                 raise
             self.compactions += 1
-            # Offsets moved: drop the read handle, adopt the new index.
-            self._drop_read_state()
-            self._pack_index = new_index
+            self._drop_read_state()  # offsets moved: rescan on next use
         finally:
             self._unlock(fh)
             fh.close()
@@ -860,12 +774,13 @@ class BatchRunner:
         pool is created lazily on the first parallel batch and reused by
         every later :meth:`run` call until :meth:`close`.
     cache_dir:
-        Directory for the on-disk tier (a :class:`DiskCache`: per-key
-        pickles plus the append-only manifest pack); ``None`` keeps
-        results only in the in-process LRU.  Corrupt, unreadable or
-        legacy-format entries are treated as misses, and a corrupt
-        per-key file is deleted on detection so it is never re-parsed on
-        the next warm start.
+        Directory for the on-disk tier (a :class:`DiskCache`: one
+        append-only, checksummed manifest pack); ``None`` keeps results
+        only in the in-process LRU.  Corrupt, unreadable or
+        legacy-format records are treated as misses; a corrupt record's
+        bytes are copied to quarantine and evicted from the index, so it
+        is not re-parsed again by this runner, and compaction drops it
+        from the pack.
     memory_entries:
         Capacity of the in-process LRU tier; 0 disables it (every lookup
         then goes to disk, and duplicate specs across ``run()`` calls

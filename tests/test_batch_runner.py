@@ -3,8 +3,11 @@ cost-aware scheduling, the two-tier cache, parallelism and dedup."""
 
 from __future__ import annotations
 
+import fcntl
+import os
 import pickle
 import threading
+import zlib
 
 import pytest
 
@@ -27,6 +30,18 @@ def tiny_specs() -> list[ScenarioSpec]:
         manager="static-big",
     )
     return list(base.sweep(manager=["static-big", "octopus-man"], seed=[1, 2]))
+
+
+def write_torn_record(manifest, tag: int) -> None:
+    """What a writer that dies mid-append leaves: a record header and
+    part of its payload, written under the pack lock (which the dying
+    process's exit releases)."""
+    while True:
+        with manifest.open("ab") as fh:
+            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+            if os.fstat(fh.fileno()).st_ino == os.stat(manifest).st_ino:
+                fh.write(f"crashed-{tag} 4096 0\n".encode() + b"half-a-payload")
+                return
 
 
 def assert_same_results(a, b):
@@ -181,10 +196,12 @@ class TestDiskCache:
         assert_same_results(first, second)
 
     def test_cache_keyed_by_fingerprint(self, tmp_path):
+        """One log file, indexed by spec fingerprint; no per-key files."""
         spec = tiny_specs()[0]
         BatchRunner(cache_dir=tmp_path).run([spec])
-        assert (tmp_path / f"{spec.fingerprint()}.pkl").exists()
-        assert (tmp_path / MANIFEST_NAME).exists()
+        assert list(tmp_path.glob("*.pkl")) == []
+        assert [path.name for path in tmp_path.iterdir()] == [MANIFEST_NAME]
+        assert list(DiskCache(tmp_path)._load_pack_index()) == [spec.fingerprint()]
 
     def test_changed_spec_misses(self, tmp_path):
         runner = BatchRunner(cache_dir=tmp_path)
@@ -194,35 +211,22 @@ class TestDiskCache:
         assert runner.cache_misses == 2
 
     def test_warm_start_reads_manifest_not_per_key_files(self, tmp_path):
-        """The pack alone can serve a warm start: deleting every per-key
-        pickle must not cause a single recompute."""
+        """The pack alone serves a warm start: not a single recompute."""
         specs = tiny_specs()
         first = BatchRunner(cache_dir=tmp_path).run(specs)
-        for path in tmp_path.glob("*.pkl"):
-            path.unlink()
         warm = BatchRunner(cache_dir=tmp_path)
         second = warm.run(specs)
         assert warm.cache_hits == len(specs) and warm.cache_misses == 0
         assert_same_results(first, second)
 
-    def test_per_key_files_alone_also_serve_legacy_caches(self, tmp_path):
-        """A PR-3-era cache directory (no manifest) still warm-starts."""
-        specs = tiny_specs()[:2]
-        first = BatchRunner(cache_dir=tmp_path).run(specs)
-        (tmp_path / MANIFEST_NAME).unlink()
-        warm = BatchRunner(cache_dir=tmp_path)
-        second = warm.run(specs)
-        assert warm.cache_hits == len(specs)
-        assert_same_results(first, second)
-
 
 class TestCacheCorruption:
     def test_corrupt_entry_in_both_tiers_recomputed(self, tmp_path):
+        """A fresh runner (empty memory tier) over a manifest with no
+        valid header: a miss, and the recompute's append heals the log."""
         spec = tiny_specs()[0]
         runner = BatchRunner(cache_dir=tmp_path)
         (original,) = runner.run([spec])
-        path = tmp_path / f"{spec.fingerprint()}.pkl"
-        path.write_bytes(b"not a pickle")
         (tmp_path / MANIFEST_NAME).write_bytes(b"garbage with no header\n")
 
         recovered = BatchRunner(cache_dir=tmp_path)
@@ -233,35 +237,11 @@ class TestCacheCorruption:
         reloaded = DiskCache(tmp_path).load(spec.fingerprint())
         assert reloaded is not None and reloaded.spec == spec
 
-    def test_truncated_per_key_entry_quarantined_on_detection(
-        self, tmp_path, capsys
-    ):
-        """Regression: a corrupt per-key pickle used to survive as a
-        miss forever, re-parsed (and re-failed) on every warm start; now
-        detection moves it to quarantine/ before the recompute rewrites
-        it -- out of the lookup path but preserved as evidence."""
-        spec = tiny_specs()[0]
-        BatchRunner(cache_dir=tmp_path).run([spec])
-        path = tmp_path / f"{spec.fingerprint()}.pkl"
-        truncated = path.read_bytes()[:20]
-        path.write_bytes(truncated)
-        (tmp_path / MANIFEST_NAME).unlink()  # isolate the per-key tier
-
-        runner = BatchRunner(cache_dir=tmp_path, memory_entries=0)
-        assert runner._cache_load(spec.fingerprint()) is None
-        assert not path.exists(), "corrupt entry must leave the lookup path"
-        quarantined = tmp_path / "quarantine" / path.name
-        assert quarantined.read_bytes() == truncated
-        assert runner.disk.corrupt_entries == 1
-        assert "quarantined corrupt entry" in capsys.readouterr().err
-
     def test_scribbled_pack_record_quarantined(self, tmp_path, capsys):
         """A bit-rotted manifest record is copied to quarantine/ and the
         spec recomputes to the same bytes."""
         spec = tiny_specs()[0]
         (original,) = BatchRunner(cache_dir=tmp_path).run([spec])
-        for path in tmp_path.glob("*.pkl"):
-            path.unlink()  # force the pack tier
         manifest = tmp_path / MANIFEST_NAME
         data = bytearray(manifest.read_bytes())
         # Scribble into the record payload, past its header line.
@@ -277,17 +257,6 @@ class TestCacheCorruption:
         assert len(records) == 1
         assert "quarantined corrupt manifest record" in capsys.readouterr().err
 
-    def test_corrupt_per_key_entry_served_from_manifest(self, tmp_path):
-        """With a healthy pack record the corrupt per-key file never
-        even gets opened -- the manifest tier sits in front of it."""
-        spec = tiny_specs()[0]
-        (original,) = BatchRunner(cache_dir=tmp_path).run([spec])
-        (tmp_path / f"{spec.fingerprint()}.pkl").write_bytes(b"junk")
-        warm = BatchRunner(cache_dir=tmp_path)
-        (outcome,) = warm.run([spec])
-        assert warm.cache_hits == 1 and warm.cache_misses == 0
-        assert_same_results([original], [outcome])
-
     def test_truncated_manifest_tail_keeps_valid_prefix(self, tmp_path):
         """A crashed writer leaves a half-record tail; records before it
         stay readable and the tail is ignored."""
@@ -295,13 +264,58 @@ class TestCacheCorruption:
         first = BatchRunner(cache_dir=tmp_path).run(specs)
         manifest = tmp_path / MANIFEST_NAME
         with manifest.open("ab") as fh:
-            fh.write(b"deadbeef 999999\ntruncated-payload")
-        for path in tmp_path.glob("*.pkl"):
-            path.unlink()  # force the pack tier
+            fh.write(b"deadbeef 999999 0\ntruncated-payload")
         warm = BatchRunner(cache_dir=tmp_path)
         second = warm.run(specs)
         assert warm.cache_hits == len(specs)
         assert_same_results(first, second)
+
+    def test_torn_tail_healed_by_next_append(self, tmp_path):
+        """A crash mid-append costs only the records after the torn
+        point, each recomputed once: the next appender cuts the torn
+        tail off before writing, so nothing it appends is hidden behind
+        the tear from a later scan."""
+        specs = tiny_specs()
+        first = BatchRunner(cache_dir=tmp_path).run(specs[:2])
+        manifest = tmp_path / MANIFEST_NAME
+        with manifest.open("r+b") as fh:
+            fh.truncate(manifest.stat().st_size - 50)  # tears specs[1]
+        rerun = BatchRunner(cache_dir=tmp_path)
+        rerun.run(specs)
+        assert rerun.disk_hits == 1 and rerun.cache_misses == 3
+        index = DiskCache(tmp_path)._load_pack_index()
+        assert sorted(index) == sorted(spec.fingerprint() for spec in specs)
+        assert DiskCache(tmp_path).dead_pack_bytes()[0] == 0  # tear gone
+        warm = BatchRunner(cache_dir=tmp_path, memory_entries=0)
+        replay = warm.run(specs)
+        assert warm.cache_misses == 0 and warm.disk_hits == len(specs)
+        assert_same_results(first, replay[:2])
+
+    def test_crc_less_record_is_a_miss_and_healed(self, tmp_path):
+        """The pre-checksum ``key size`` header is malformed: its record
+        is a miss even though its payload unpickles, and the next append
+        cuts it off."""
+        spec_a, spec_b, spec_c = tiny_specs()[:3]
+        key_a, key_b, key_c = (s.fingerprint() for s in (spec_a, spec_b, spec_c))
+        raw_a, raw_b, raw_c = (
+            pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            for outcome in BatchRunner().run([spec_a, spec_b, spec_c])
+        )
+        DiskCache(tmp_path).store_many([(key_a, raw_a)])
+        manifest = tmp_path / MANIFEST_NAME
+        valid = manifest.read_bytes()
+        with manifest.open("ab") as fh:
+            fh.write(f"{key_b} {len(raw_b)}\n".encode() + raw_b)
+
+        cache = DiskCache(tmp_path)
+        assert cache.load(key_b) is None
+        assert cache.load(key_a).spec == spec_a
+        cache.store_many([(key_c, raw_c)])
+        record_c = f"{key_c} {len(raw_c)} {zlib.crc32(raw_c)}\n".encode() + raw_c
+        assert manifest.read_bytes() == valid + record_c
+        assert sorted(DiskCache(tmp_path)._load_pack_index()) == sorted(
+            [key_a, key_c]
+        )
 
 
 class TestManifestCompaction:
@@ -346,6 +360,22 @@ class TestManifestCompaction:
         assert self.read_pack_payload(tmp_path, "alive") == b"x" * 64
         assert b"crashed-writer" not in cache.manifest_path.read_bytes()
 
+    def test_non_ascii_key_is_a_malformed_tail(self, tmp_path):
+        """Bit rot in a header's key bytes (valid size and CRC) makes a
+        malformed record, not a key compaction cannot re-encode: close
+        must not raise, and the record is dropped."""
+        cache = self.eager_cache(tmp_path)
+        cache.store_many([("alive", b"x" * 64)] * 2)  # dead weight
+        payload = b"y" * 32
+        with cache.manifest_path.open("ab") as fh:
+            fh.write(b"k\xde\xad %d %d\n" % (len(payload), zlib.crc32(payload)))
+            fh.write(payload)
+        cache = self.eager_cache(tmp_path)
+        cache.close()
+        assert cache.compactions == 1
+        assert sorted(DiskCache(tmp_path)._load_pack_index()) == ["alive"]
+        assert self.read_pack_payload(tmp_path, "alive") == b"x" * 64
+
     def test_below_threshold_pack_left_untouched(self, tmp_path):
         cache = DiskCache(tmp_path)  # default thresholds (64 KiB dead)
         cache.store_many([(f"k{i}", b"y" * 100) for i in range(5)])
@@ -388,8 +418,6 @@ class TestManifestCompaction:
         assert runner.disk.dead_pack_bytes()[0] > 0
         runner.close()
         assert runner.disk.compactions == 1
-        for path in tmp_path.glob("*.pkl"):
-            path.unlink()  # pack-only warm start
         warm = BatchRunner(cache_dir=tmp_path)
         replay = warm.run(specs)
         assert warm.cache_hits == len(specs) and warm.cache_misses == 0
@@ -431,32 +459,6 @@ class TestManifestCompaction:
         assert sorted(index) == sorted(key for key, _ in survivors)
         for key, payload in survivors:
             assert self.read_pack_payload(tmp_path, key) == payload
-
-    def test_stranded_per_key_files_swept_on_close(self, tmp_path):
-        """The per-key twins of version-stranded records leak too --
-        their retired keys are never looked up, so only the close-time
-        sweep can reclaim them; current-generation files survive."""
-        from repro.scenarios.spec import cache_key_prefix
-
-        prefix = cache_key_prefix()
-        old = tmp_path / "deadbeef00112233445566778899aabb.pkl"  # v1-era stem
-        old.write_bytes(b"legacy payload")
-        current = tmp_path / f"{prefix}{'0' * 24}.pkl"
-        current.write_bytes(b"current payload")
-        unrelated = tmp_path / "notes.txt"
-        unrelated.write_text("not a cache entry")
-        newer = tmp_path / f"s99-future-{'8' * 24}.pkl"
-        newer.write_bytes(b"a newer build's entry")
-        cache = DiskCache(tmp_path, live_prefix=prefix)
-        cache.close()
-        assert not old.exists()
-        assert current.exists() and unrelated.exists() and newer.exists()
-        assert cache.stranded_files_removed == 1
-        # Without a live_prefix (generic use) nothing is touched.
-        other = tmp_path / "whatever.pkl"
-        other.write_bytes(b"x")
-        DiskCache(tmp_path).close()
-        assert other.exists()
 
     def test_runner_disk_cache_carries_current_prefix(self, tmp_path):
         from repro.scenarios.spec import cache_key_prefix
@@ -506,8 +508,10 @@ class TestManifestCompaction:
         assert also is not None and also.spec.fingerprint() == key_a
 
     def test_racing_appenders_lose_nothing_to_compaction(self, tmp_path):
-        """Appenders running while another handle compacts: the inode
-        re-check after flock keeps every record reachable."""
+        """Appenders running while another handle compacts and writers
+        keep dying mid-append: the inode re-check after flock keeps
+        every record reachable, and each torn tail is cut off by the
+        next append instead of hiding the records after it."""
         errors: list[BaseException] = []
         per_thread = 40
 
@@ -532,15 +536,26 @@ class TestManifestCompaction:
             except BaseException as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
+        def crash_mid_append():
+            try:
+                for i in range(15):
+                    write_torn_record(tmp_path / MANIFEST_NAME, i)
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
         threads = [
             threading.Thread(target=append, args=(t,)) for t in range(3)
-        ] + [threading.Thread(target=compact_repeatedly)]
+        ] + [
+            threading.Thread(target=compact_repeatedly),
+            threading.Thread(target=crash_mid_append),
+        ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
         assert not errors
         index = DiskCache(tmp_path)._load_pack_index()
+        assert not any(key.startswith("crashed-") for key in index)
         for thread_id in range(3):
             for i in range(per_thread):
                 key = f"t{thread_id}-{i:03d}"
@@ -553,9 +568,8 @@ class TestManifestCompaction:
 
 class TestConcurrentRunners:
     def test_two_runners_share_one_cache_dir(self, tmp_path):
-        """Two runners racing over overlapping batches (atomic per-key
-        writes + locked manifest appends) must corrupt nothing and agree
-        on every outcome."""
+        """Two runners racing over overlapping batches (locked manifest
+        appends) must corrupt nothing and agree on every outcome."""
         specs = tiny_specs()
         results: dict[str, list] = {}
         errors: list[BaseException] = []
@@ -577,15 +591,15 @@ class TestConcurrentRunners:
         assert not errors
         assert_same_results(results["a"], list(reversed(results["b"])))
 
-        # Every tier is intact: a fresh runner warm-starts fully from
-        # the pack, and every per-key pickle still loads.
+        # The pack is intact: a fresh runner warm-starts fully from it,
+        # and every indexed record (duplicates included) still loads.
         warm = BatchRunner(cache_dir=tmp_path)
         replay = warm.run(specs)
         assert warm.cache_hits == len(specs) and warm.cache_misses == 0
         assert_same_results(results["a"], replay)
-        per_key = DiskCache(tmp_path)
-        for path in tmp_path.glob("*.pkl"):
-            assert per_key._file_load(path.stem) is not None
+        cache = DiskCache(tmp_path)
+        for key in list(cache._load_pack_index()):
+            assert cache.load(key) is not None
 
 
 class TestScheduling:

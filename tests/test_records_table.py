@@ -31,7 +31,7 @@ from repro.fleet.spec import FleetSpec
 from repro.hardware.topology import Configuration
 from repro.policies.base import Decision
 from repro.scenarios import ScenarioSpec, TraceSpec
-from repro.sim.batch import BatchRunner
+from repro.sim.batch import BatchRunner, DiskCache
 from repro.sim.records import (
     BOOL_FIELDS,
     FLOAT_FIELDS,
@@ -294,7 +294,8 @@ class TestVersionedPayloads:
 
     def test_cache_treats_legacy_payload_as_miss_and_deletes_it(self, tmp_path):
         """End to end: a legacy payload planted under a current cache
-        key is rejected on decode, deleted, and recomputed."""
+        key is rejected on decode, deleted from the index (its bytes
+        quarantined), and recomputed."""
         spec = ScenarioSpec(
             workload="memcached",
             trace=TraceSpec.constant(0.5, 10.0),
@@ -317,11 +318,14 @@ class TestVersionedPayloads:
                     legacy_state,
                 )
 
-        path = tmp_path / f"{spec.fingerprint()}.pkl"
-        path.write_bytes(pickle.dumps(LegacyPickle()))
+        key = spec.fingerprint()
+        DiskCache(tmp_path).store_many([(key, pickle.dumps(LegacyPickle()))])
         runner = BatchRunner(cache_dir=tmp_path, memory_entries=0)
-        assert runner._cache_load(spec.fingerprint()) is None
-        assert not path.exists(), "rejected legacy entry must be deleted"
+        assert runner._cache_load(key) is None
+        assert runner.disk.corrupt_entries == 1
+        assert key not in runner.disk._load_pack_index(), (
+            "rejected legacy record must leave the lookup path"
+        )
         (outcome,) = runner.run([spec])
         assert runner.cache_misses == 1
         assert outcome.result.observations == fresh.result.observations

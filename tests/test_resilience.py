@@ -667,16 +667,18 @@ class TestQuarantineBound:
     ):
         cache = DiskCache(tmp_path, quarantine_max_entries=1)
         cache.quarantine_path.mkdir(parents=True)
-        old = cache.quarantine_path / "ancient.pkl"
+        old = cache.quarantine_path / "ancient.pack-record"
         old.write_bytes(b"z")
         os.utime(old, (100, 100))
-        bad = tmp_path / "corrupt.pkl"
-        bad.write_bytes(b"not a pickle")
-        cache._quarantine_file(bad)
-        assert not bad.exists()
+        cache.store_many([("corrupt", b"not a pickle")])
+        assert cache.load("corrupt") is None
         names = {p.name for p in cache.quarantine_path.iterdir()}
-        assert names == {"corrupt.pkl"}
+        assert names == {"corrupt.pack-record"}
+        assert (cache.quarantine_path / "corrupt.pack-record").read_bytes() == (
+            b"not a pickle"
+        )
         assert cache.quarantine_evictions == 1
+        assert "quarantined corrupt manifest record" in capsys.readouterr().err
 
     def test_eviction_count_reaches_fault_line(self, tmp_path):
         from repro.cli import render_stats

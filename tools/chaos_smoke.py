@@ -11,10 +11,10 @@ Four in-process invocations of the acceptance command
    to the golden run.
 3. **cache populate** -- fault-free, parallel, against a fresh on-disk
    cache (the corruption victim).
-4. **corrupted cache** -- the manifest tail is truncated, a record is
-   scribbled and per-key pickles are damaged
-   (:func:`repro.sim.chaos.corrupt_cache`); the rerun must quarantine
-   the damage, recompute, exit 0 and stay byte-identical.
+4. **corrupted cache** -- a manifest record is scribbled and the
+   manifest tail is truncated (:func:`repro.sim.chaos.corrupt_cache`);
+   the rerun must quarantine the damage, recompute, exit 0 and stay
+   byte-identical.
 
 A JSON summary (the CI artifact) records per-run exit codes, wall
 times, fault markers and the byte-identity verdicts.  Exits non-zero
